@@ -15,7 +15,7 @@ z2 = LatticeSpec.hypercubic(2)
 print("one subcritical cluster at p = 0.45:")
 res = lazy_cluster(z2, 0.45, cap=500, rng_seed=12)
 print(f"  size {res.size}, truncated={res.truncated}, "
-      f"open edges explored {len(res.boundary_open)}")
+      f"farthest member {max(sum(map(abs, v)) for v in res.members)} steps out")
 
 print("\nsame seed across p: nested clusters (common random numbers)")
 for p in (0.30, 0.40, 0.50, 0.60):

@@ -9,11 +9,7 @@ __version__ = "0.1.0"
 
 from .core import (
     ClusterResult,
-    Params,
     cluster_of_origin,
-    config_from_hex,
-    config_to_hex,
-    ghost_avoidance_weight,
     lazy_cluster,
     sample_config,
     sample_ghost,
@@ -59,8 +55,6 @@ from .exploration import (
     CLUSTER_FIRST,
     ClusterFirstRule,
     ExplorationTrace,
-    PivotalQuery,
-    cluster_first_next,
     is_pivotal_avoidance,
     pivotal_ghost_weight,
     run_exploration,

@@ -10,6 +10,7 @@ with the same parameters reproduces them byte for byte.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -30,7 +31,6 @@ from .exact import (
     certificate_to_json,
     conditional_measure,
     exact_magnetization,
-    exact_psi,
     fkg_sweep,
     magnetization_bound,
     magnetization_table,
@@ -55,12 +55,26 @@ LATTICES = {
 DEFAULT_P_GRID = "0.2,0.5,0.8"
 DEFAULT_H_GRID = "0.1,0.5,1.0"
 
+# decay fits n = 20, 30, ..., n_max, and decay_fit needs five points.
+DECAY_N_MAX_MIN = 60
+
 
 def _float_list(text):
     text = text.strip()
     if not text:
         return []
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _decay_n_max(text):
+    try:
+        n_max = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n_max < DECAY_N_MAX_MIN:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {DECAY_N_MAX_MIN} to give the fit five points")
+    return n_max
 
 
 def _write_json(path, payload):
@@ -84,49 +98,42 @@ def _fmt(v):
 
 
 def _digest(path):
-    sha = hashlib.sha256()
     with open(path, "rb") as fh:
-        sha.update(fh.read())
-    return sha.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
-class _Manifest:
-    def __init__(self, command, args):
-        self.command = command
-        self.args = args
-        self.started = datetime.now(timezone.utc).isoformat()
-        self.outputs = {}
+def _command(*keys):
+    """Subcommand decorator.  The command gets ``out(name)``, the path of an
+    output file under ``--out``; afterwards manifest.json records the
+    resolved ``keys``, timestamps and the SHA-256 of every such file."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(ns):
+            os.makedirs(ns.out, exist_ok=True)
+            args = {k: getattr(ns, k) for k in keys}
+            started = datetime.now(timezone.utc).isoformat()
+            names = []
 
-    def record(self, path):
-        self.outputs[os.path.basename(path)] = _digest(path)
+            def out(name):
+                names.append(name)
+                return os.path.join(ns.out, name)
 
-    def write(self, out_dir):
-        payload = {
-            "command": self.command,
-            "args": self.args,
-            "seed": self.args.get("seed"),
-            "version": __version__,
-            "started": self.started,
-            "finished": datetime.now(timezone.utc).isoformat(),
-            "outputs": self.outputs,
-        }
-        _write_json(os.path.join(out_dir, "manifest.json"), payload)
-
-
-def _resolved_args(ns, keys):
-    return {k: getattr(ns, k) for k in keys}
-
-
-def _prepare(ns, keys):
-    os.makedirs(ns.out, exist_ok=True)
-    return _Manifest(ns.command, _resolved_args(ns, keys))
+            code = fn(ns, out)
+            _write_json(os.path.join(ns.out, "manifest.json"), {
+                "command": ns.command, "args": args, "seed": args.get("seed"),
+                "version": __version__, "started": started,
+                "finished": datetime.now(timezone.utc).isoformat(),
+                "outputs": {n: _digest(os.path.join(ns.out, n)) for n in names},
+            })
+            return code
+        return run
+    return wrap
 
 
-def cmd_verify_domination(ns):
+@_command("lattice", "radius", "p", "h", "seed", "q_override")
+def cmd_verify_domination(ns, out):
     """Exact certification suite on one small ball over a (p, h) grid."""
-    spec = LATTICES[ns.lattice]
-    ball = build_ball(spec, ns.radius)
-    manifest = _prepare(ns, ["lattice", "radius", "p", "h", "seed", "q_override"])
+    ball = build_ball(LATTICES[ns.lattice], ns.radius)
     points = []
     failures = []
     for p in _float_list(ns.p):
@@ -165,18 +172,15 @@ def cmd_verify_domination(ns):
         "failures": failures,
         "ok": not failures,
     }
-    path = os.path.join(ns.out, "domination_report.json")
-    _write_json(path, report)
-    manifest.record(path)
-    manifest.write(ns.out)
+    _write_json(out("domination_report.json"), report)
     return 0 if not failures else 1
 
 
-def cmd_verify_tail_bound(ns):
+@_command("lattice", "radius", "mode", "p", "h", "n_max", "samples", "cap",
+          "seed", "threads")
+def cmd_verify_tail_bound(ns, out):
     """Tail inequality check: exact on a small ball, or Monte Carlo."""
     spec = LATTICES[ns.lattice]
-    manifest = _prepare(ns, ["lattice", "radius", "mode", "p", "h", "n_max",
-                             "samples", "cap", "seed", "threads"])
     rows = []
     failed = False
     if ns.mode == "exact":
@@ -187,23 +191,18 @@ def cmd_verify_tail_bound(ns):
             for h in h_grid:
                 m = exact_magnetization(ball, p, h)
                 q = p * (1.0 - m)
-                for n in range(ball.n_vertices + 1):
-                    lhs = exact_psi(ball, q, n)
-                    rhs = exact_psi(ball, p, n) * math.exp(-h * n) / (1.0 - m)
+                for (n, lhs), (_, psi_p) in zip(psi_table(ball, q), psi_table(ball, p)):
+                    rhs = psi_p * math.exp(-h * n) / (1.0 - m)
                     slack = rhs - lhs
                     ok = lhs <= rhs + 1e-12
                     failed = failed or not ok
                     rows.append([p, h, n, lhs, rhs, slack, "PASS" if ok else "FAIL"])
         header = ["p", "h", "n", "lhs", "rhs", "slack", "verdict"]
-        psi_path = os.path.join(ns.out, "psi_exact.csv")
-        _write_csv(psi_path, ["p", "n", "psi"],
+        _write_csv(out("psi_exact.csv"), ["p", "n", "psi"],
                    [[p, n, value] for p in p_grid
                     for n, value in psi_table(ball, p)])
-        mag_path = os.path.join(ns.out, "magnetization_exact.csv")
-        _write_csv(mag_path, ["p", "h", "m"],
+        _write_csv(out("magnetization_exact.csv"), ["p", "h", "m"],
                    magnetization_table(ball, p_grid, h_grid))
-        manifest.record(psi_path)
-        manifest.record(mag_path)
     else:
         p = _float_list(ns.p)[0]
         h = _float_list(ns.h)[0]
@@ -215,63 +214,49 @@ def cmd_verify_tail_bound(ns):
                          r["rhs"], r["verdict"]])
         failed = report.failed
         header = ["p", "h", "n", "lhs", "lhs_hi", "psi_p", "rhs", "verdict"]
-    path = os.path.join(ns.out, "tail_bound.csv")
-    _write_csv(path, header, rows)
-    manifest.record(path)
-    manifest.write(ns.out)
+    _write_csv(out("tail_bound.csv"), header, rows)
     return 1 if failed else 0
 
 
-def cmd_decay(ns):
+@_command("lattice", "p", "n_max", "samples", "seed", "threads")
+def cmd_decay(ns, out):
     """Tail curve plus exponential-decay fit."""
-    spec = LATTICES[ns.lattice]
-    manifest = _prepare(ns, ["lattice", "p", "n_max", "samples", "seed",
-                             "threads"])
     p = _float_list(ns.p)[0]
     n_list = list(range(20, ns.n_max + 1, 10))
-    curve = psi_curve(spec, p, n_list, ns.samples, ns.seed, threads=ns.threads)
+    curve = psi_curve(LATTICES[ns.lattice], p, n_list, ns.samples, ns.seed,
+                      threads=ns.threads)
     rows = [[n, curve[n].point, curve[n].lo, curve[n].hi, curve[n].samples]
             for n in n_list]
-    csv_path = os.path.join(ns.out, "decay_curve.csv")
-    _write_csv(csv_path, ["n", "psi", "lo", "hi", "samples"], rows)
+    _write_csv(out("decay_curve.csv"),
+               ["n", "psi", "lo", "hi", "samples"], rows)
     fit = decay_fit([(n, curve[n]) for n in n_list])
-    fit_path = os.path.join(ns.out, "decay_fit.json")
-    _write_json(fit_path, {
+    _write_json(out("decay_fit.json"), {
         "p": p, "rate": fit.rate, "prefactor": fit.prefactor,
         "r_squared": fit.r_squared, "rate_se": fit.rate_se,
         "rate_lo": fit.rate_lo, "rate_hi": fit.rate_hi,
         "points_used": fit.points_used,
     })
-    manifest.record(csv_path)
-    manifest.record(fit_path)
-    manifest.write(ns.out)
     return 0
 
 
-def cmd_meanfield(ns):
+@_command("lattice", "p", "h", "cap", "samples", "seed", "threads")
+def cmd_meanfield(ns, out):
     """Reduced-parameter check against the square lattice threshold."""
-    spec = LATTICES[ns.lattice]
-    manifest = _prepare(ns, ["lattice", "p", "h", "cap", "samples", "seed",
-                             "threads"])
     h = _float_list(ns.h)[0]
-    rows = meanfield_verdict(spec, _float_list(ns.p), h, ns.cap, ns.samples,
-                             ns.seed, threads=ns.threads)
+    rows = meanfield_verdict(LATTICES[ns.lattice], _float_list(ns.p), h, ns.cap,
+                             ns.samples, ns.seed, threads=ns.threads)
     table = [[r["p"], r["m_lo"], r["m_hi"], r["q_upper"], r["q_lower"],
               r["truncated_fraction"], r["verdict"]] for r in rows]
-    path = os.path.join(ns.out, "meanfield.csv")
-    _write_csv(path, ["p", "m_lo", "m_hi", "q_upper", "q_lower",
-                      "truncated_fraction", "verdict"], table)
-    manifest.record(path)
-    manifest.write(ns.out)
+    _write_csv(out("meanfield.csv"),
+               ["p", "m_lo", "m_hi", "q_upper", "q_lower", "truncated_fraction",
+                "verdict"], table)
     return 1 if any(r["verdict"] == "FAIL" for r in rows) else 0
 
 
-def cmd_couple_demo(ns):
+@_command("lattice", "radius", "p", "h", "seed", "q_override")
+def cmd_couple_demo(ns, out):
     """One audited coupled run with the exact conditional oracle."""
-    spec = LATTICES[ns.lattice]
-    ball = build_ball(spec, ns.radius)
-    manifest = _prepare(ns, ["lattice", "radius", "p", "h", "seed",
-                             "q_override"])
+    ball = build_ball(LATTICES[ns.lattice], ns.radius)
     p = _float_list(ns.p)[0]
     h = _float_list(ns.h)[0]
     m = exact_magnetization(ball, p, h)
@@ -280,14 +265,14 @@ def cmd_couple_demo(ns):
     pair = couple_sequential(ball, CLUSTER_FIRST, q, oracle, ns.seed)
     payload = pair_to_json(pair)
     payload.update({"p": p, "h": h, "q": q, "magnetization": m})
-    path = os.path.join(ns.out, "couple_demo.json")
-    _write_json(path, payload)
-    manifest.record(path)
-    manifest.write(ns.out)
+    _write_json(out("couple_demo.json"), payload)
     return 0
 
 
-def _add_common(sub):
+def _add_command(subs, name, func, help):
+    """Subparser for ``name`` with the flags every command shares."""
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(func=func)
     sub.add_argument("--lattice", choices=sorted(LATTICES), default="z1")
     sub.add_argument("--seed", type=int, default=0,
                      help="64-bit master seed for all randomness")
@@ -297,6 +282,7 @@ def _add_common(sub):
                      help="worker pool size; results do not depend on it")
     sub.add_argument("--config", default=None,
                      help="JSON file of flag values (a manifest works too)")
+    return sub
 
 
 def build_parser():
@@ -305,19 +291,16 @@ def build_parser():
         description="Percolation laboratory: exact certificates and Monte Carlo checks")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("verify-domination",
-                        help="exact domination certificates on a small ball")
-    _add_common(s)
+    s = _add_command(subs, "verify-domination", cmd_verify_domination,
+                     "exact domination certificates on a small ball")
     s.add_argument("--radius", type=int, default=2)
     s.add_argument("--p", default=DEFAULT_P_GRID)
     s.add_argument("--h", default=DEFAULT_H_GRID)
     s.add_argument("--q-override", dest="q_override", type=float, default=None,
                    help="test hook: replace q = p(1-eps*) in the certificate")
-    s.set_defaults(func=cmd_verify_domination)
 
-    s = subs.add_parser("verify-tail-bound",
-                        help="tail inequality, exact or Monte Carlo")
-    _add_common(s)
+    s = _add_command(subs, "verify-tail-bound", cmd_verify_tail_bound,
+                     "tail inequality, exact or Monte Carlo")
     s.add_argument("--mode", choices=["exact", "mc"], default="exact")
     s.add_argument("--radius", type=int, default=2)
     s.add_argument("--p", default=DEFAULT_P_GRID)
@@ -325,58 +308,54 @@ def build_parser():
     s.add_argument("--n-max", dest="n_max", type=int, default=100)
     s.add_argument("--samples", type=int, default=10_000)
     s.add_argument("--cap", type=int, default=100_000)
-    s.set_defaults(func=cmd_verify_tail_bound)
 
-    s = subs.add_parser("decay", help="tail curve and exponential fit")
-    _add_common(s)
+    s = _add_command(subs, "decay", cmd_decay, "tail curve and exponential fit")
     s.add_argument("--p", default="0.4")
-    s.add_argument("--n-max", dest="n_max", type=int, default=120)
+    s.add_argument("--n-max", dest="n_max", type=_decay_n_max, default=120)
     s.add_argument("--samples", type=int, default=100_000)
-    s.set_defaults(func=cmd_decay)
 
-    s = subs.add_parser("meanfield",
-                        help="reduced parameter vs the square-lattice threshold")
-    _add_common(s)
+    s = _add_command(subs, "meanfield", cmd_meanfield,
+                     "reduced parameter vs the square-lattice threshold")
     s.add_argument("--p", default="0.55,0.6,0.7,0.8,0.9,1.0")
     s.add_argument("--h", default="0.05")
     s.add_argument("--cap", type=int, default=100_000)
     s.add_argument("--samples", type=int, default=2_000)
-    s.set_defaults(func=cmd_meanfield)
 
-    s = subs.add_parser("couple-demo", help="audit one coupled run")
-    _add_common(s)
+    s = _add_command(subs, "couple-demo", cmd_couple_demo, "audit one coupled run")
     s.add_argument("--radius", type=int, default=1)
     s.add_argument("--p", default="0.5")
     s.add_argument("--h", default="0.5")
     s.add_argument("--q-override", dest="q_override", type=float, default=None)
-    s.set_defaults(func=cmd_couple_demo)
 
     return parser
 
 
-def _apply_config(parser, ns, argv):
-    """Fill unset flags from a JSON config (manifests carry one under 'args')."""
-    if not ns.config:
-        return ns
-    with open(ns.config) as fh:
+def _config_tokens(path, own):
+    """``--flag=value`` tokens for the values in a JSON config (a manifest
+    carries them under 'args') that name one of the flags in ``own``."""
+    with open(path) as fh:
         data = json.load(fh)
-    if "args" in data and isinstance(data["args"], dict):
+    if not isinstance(data, dict):
+        raise ValueError(f"config {path} is not a JSON object")
+    if isinstance(data.get("args"), dict):
         data = data["args"]
-    explicit = {tok.split("=")[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
+    tokens = []
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if hasattr(ns, attr) and attr not in explicit and attr != "config":
-            setattr(ns, attr, value)
-    return ns
+        if attr in own and value is not None:
+            tokens.append(f"--{attr.replace('_', '-')}={value}")
+    return tokens
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    ns = _apply_config(parser, ns, argv)
     try:
+        ns = parser.parse_args(argv)
+        if ns.config:
+            # config values go first, so flags given on the command line win
+            own = set(vars(ns)) - {"command", "func", "config"}
+            ns = parser.parse_args(argv[:1] + _config_tokens(ns.config, own) + argv[1:])
         return ns.func(ns)
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

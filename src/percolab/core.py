@@ -17,14 +17,14 @@ import numpy as np
 
 from .errors import CapExceeded
 from .lattices import (
-    REGULAR_TREE,
     GraphBall,
     LatticeSpec,
     edge_key,
-    lazy_neighbors,
-    positive_offsets,
+    incident_edges,
+    key_to_coords,
+    vertex_key,
 )
-from .streams import derive_key, keyed_uniform, mix64, stream
+from .streams import derive_key, keyed_uniform, stream
 
 # Stream labels: (seed, label, ...) paths keep experiments independent.
 EXP_CONFIG = 1
@@ -33,54 +33,17 @@ EXP_GROW = 3
 
 MAX_CLUSTER_CAP = 1_000_000
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_INV53 = 1.0 / (1 << 53)
-
-
-def green_probability(h: float) -> float:
-    """Per-vertex green probability 1 - exp(-h); h may be +inf."""
-    if h < 0:
-        raise ValueError("ghost intensity h must be nonnegative")
-    return -math.expm1(-h)
-
-
-@dataclass(frozen=True)
-class Params:
-    """Model parameters: edge-open probability p and ghost intensity h."""
-
-    p: float
-    h: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if self.h < 0:
-            raise ValueError("h must be nonnegative")
-
-    @property
-    def green_prob(self) -> float:
-        return green_probability(self.h)
-
-    def reduced(self, m: float) -> float:
-        """Reduced open probability q = p * (1 - m) for a magnetization m."""
-        if not 0.0 <= m < 1.0:
-            raise ValueError("magnetization must lie in [0, 1)")
-        return self.p * (1.0 - m)
-
 
 @dataclass(frozen=True)
 class ClusterResult:
     """The origin's open cluster.
 
     members: vertex indices (finite ball) or coordinate tuples (lazy growth).
-    boundary_open: the open edges explored, same indexing convention.
     truncated: growth stopped at the size cap before the cluster was maximal.
     """
 
     members: frozenset
     size: int
-    boundary_open: tuple
     truncated: bool
 
 
@@ -97,10 +60,11 @@ def sample_config(ball: GraphBall, p: float, rng_seed: int) -> np.ndarray:
 
 
 def sample_ghost(ball: GraphBall, h: float, rng_seed: int) -> np.ndarray:
-    """I.i.d. green markers with per-vertex probability 1 - exp(-h)."""
-    g = green_probability(h)
+    """I.i.d. green markers with per-vertex probability 1 - exp(-h); h may be +inf."""
+    if h < 0:
+        raise ValueError("ghost intensity h must be nonnegative")
     u = stream(rng_seed, EXP_GHOST).random(ball.n_vertices)
-    return (u < g).astype(np.uint8)
+    return (u < -math.expm1(-h)).astype(np.uint8)
 
 
 def sample_config_keyed(ball: GraphBall, p: float, rkey: int) -> np.ndarray:
@@ -124,162 +88,74 @@ def cluster_of_origin(ball: GraphBall, config: np.ndarray) -> ClusterResult:
         raise ValueError("configuration length does not match the ball")
     seen = {ball.origin}
     queue = [ball.origin]
-    open_edges = set()
     while queue:
         v = queue.pop()
         for e, w in ball.incidence[v]:
-            if config[e]:
-                open_edges.add(e)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return ClusterResult(frozenset(seen), len(seen), tuple(sorted(open_edges)),
-                         truncated=False)
-
-
-def ghost_avoidance_weight(size: int, h: float) -> float:
-    """P(no vertex of the cluster is green | cluster of that size) = e^{-h size}."""
-    if size < 1:
-        raise ValueError("cluster size must be at least 1")
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    return math.exp(-h * size)
+            if config[e] and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return ClusterResult(frozenset(seen), len(seen), truncated=False)
 
 
 # ---------------------------------------------------------------------------
 # Lazy growth on the infinite lattice.
 #
-# The hot loops below work on integer vertex keys (see lattices) and draw one
-# keyed uniform per undirected edge.  They are deliberately family-specialized
-# and local-variable heavy; estimator throughput depends on them.
+# One loop serves every family: it works on integer vertex keys (see
+# lattices) and draws one keyed uniform per edge leaving the cluster.
+# Estimator throughput depends on it.
 # ---------------------------------------------------------------------------
+
+def _grow(spec, p, cap, rkey):
+    """Member keys of the origin's cluster, grown depth-first until it is
+    maximal or has ``cap`` vertices, and whether the cap stopped it.
+
+    An edge into the cluster is never drawn: its uniform is a pure function
+    of the edge, so skipping it changes nothing but the work.
+    """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    if cap > MAX_CLUSTER_CAP:
+        raise CapExceeded(f"cap {cap} exceeds the memory budget {MAX_CLUSTER_CAP}")
+    incident = incident_edges(spec)
+    origin = vertex_key(spec, spec.origin)
+    members = {origin}
+    if cap <= 1:
+        return members, True
+    queue = [origin]
+    while queue:
+        for ek, w in incident(queue.pop()):
+            if w not in members and keyed_uniform(rkey, ek) < p:
+                members.add(w)
+                if len(members) >= cap:
+                    return members, True
+                queue.append(w)
+    return members, False
+
 
 def grow_cluster_size(spec: LatticeSpec, p: float, cap: int, rkey: int):
     """Grow the origin's cluster; return (size, truncated).
 
     Stops as soon as the cluster is maximal or reaches ``cap`` vertices.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    if cap > MAX_CLUSTER_CAP:
-        raise CapExceeded(f"cap {cap} exceeds the memory budget {MAX_CLUSTER_CAP}")
-    if spec.family == REGULAR_TREE:
-        return _grow_size_tree(spec.tree_degree, p, cap, rkey)
-    return _grow_size_keyed(positive_offsets(spec), p, cap, rkey)
-
-
-def _grow_size_keyed(offsets, p, cap, rkey):
-    ndir = len(offsets)
-    members = {0}
-    queue = [0]
-    revealed = set()
-    size = 1
-    if size >= cap:
-        return size, True
-    while queue:
-        v = queue.pop()
-        for d in range(ndir):
-            off = offsets[d]
-            for ek, w in ((v * ndir + d, v + off), ((v - off) * ndir + d, v - off)):
-                if ek in revealed:
-                    continue
-                revealed.add(ek)
-                z = mix64(rkey ^ ((ek * _GOLDEN) & _MASK64))
-                z = mix64(z)
-                if (z >> 11) * _INV53 < p and w not in members:
-                    members.add(w)
-                    size += 1
-                    if size >= cap:
-                        return size, True
-                    queue.append(w)
-    return size, False
-
-
-def _grow_size_tree(r, p, cap, rkey):
-    base = r + 1
-    members = {1}
-    queue = [1]
-    revealed = set()
-    size = 1
-    if size >= cap:
-        return size, True
-    while queue:
-        v = queue.pop()
-        incident = []
-        if v != 1:
-            incident.append((v, v // base))
-        arity = r if v == 1 else r - 1
-        for c in range(arity):
-            child = v * base + c + 1
-            incident.append((child, child))
-        for ek, w in incident:
-            if ek in revealed:
-                continue
-            revealed.add(ek)
-            z = mix64(rkey ^ ((ek * _GOLDEN) & _MASK64))
-            z = mix64(z)
-            if (z >> 11) * _INV53 < p and w not in members:
-                members.add(w)
-                size += 1
-                if size >= cap:
-                    return size, True
-                queue.append(w)
-    return size, False
+    members, truncated = _grow(spec, p, cap, rkey)
+    return len(members), truncated
 
 
 def lazy_cluster(spec: LatticeSpec, p: float, cap: int, rng_seed: int) -> ClusterResult:
     """Origin cluster on the infinite lattice with full membership detail.
 
-    Members and open edges are reported as coordinate tuples.  Equivalent in
-    law to sampling a huge ball and reading off the origin's cluster; the
-    per-edge uniforms are keyed by (seed, edge), so runs at p <= p' with the
-    same seed grow nested clusters.
+    Members are reported as coordinate tuples.  Equivalent in law to sampling
+    a huge ball and reading off the origin's cluster; the per-edge uniforms
+    are keyed by (seed, edge), so runs at p <= p' with the same seed grow
+    nested clusters.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    if cap > MAX_CLUSTER_CAP:
-        raise CapExceeded(f"cap {cap} exceeds the memory budget {MAX_CLUSTER_CAP}")
-    rkey = derive_key(rng_seed, EXP_GROW)
-    o = spec.origin
-    members = {o}
-    queue = [o]
-    revealed = set()
-    open_edges = []
-    truncated = cap <= 1
-    while queue and not truncated:
-        v = queue.pop()
-        for w in lazy_neighbors(spec, v):
-            ek = edge_key(spec, v, w)
-            if ek in revealed:
-                continue
-            revealed.add(ek)
-            if keyed_uniform(rkey, ek) < p:
-                open_edges.append((v, w))
-                if w not in members:
-                    members.add(w)
-                    queue.append(w)
-                    if len(members) >= cap:
-                        truncated = True
-                        break
-    return ClusterResult(frozenset(members), len(members), tuple(open_edges),
-                         truncated=truncated)
+    keys, truncated = _grow(spec, p, cap, derive_key(rng_seed, EXP_GROW))
+    members = frozenset(key_to_coords(spec, k) for k in keys)
+    return ClusterResult(members, len(members), truncated=truncated)
 
 
 def replicate_key(seed: int, experiment: int, replicate: int) -> int:
     """64-bit key for one (experiment, replicate) pair of a master seed."""
     return derive_key(seed, experiment, replicate)
-
-
-def config_to_hex(config: np.ndarray) -> str:
-    """Hex encoding of a bit vector (big-endian bit packing)."""
-    return np.packbits(np.asarray(config, dtype=np.uint8)).tobytes().hex()
-
-
-def config_from_hex(text: str, n_bits: int) -> np.ndarray:
-    raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
-    bits = np.unpackbits(raw)
-    if len(bits) < n_bits:
-        raise ValueError("hex string too short for the requested bit count")
-    return bits[:n_bits].astype(np.uint8)

@@ -18,9 +18,9 @@ outcome, never folded into PASS.
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import grow_cluster_size, replicate_key, cluster_of_origin
 from .lattices import HYPERCUBIC, GraphBall, LatticeSpec
@@ -66,7 +66,7 @@ class MagnetizationInterval:
 
 
 def z_value(confidence: float = DEFAULT_CONFIDENCE) -> float:
-    return float(norm.ppf(0.5 + confidence / 2.0))
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def wilson_interval(successes: int, samples: int,
@@ -135,12 +135,7 @@ def estimate_psi(spec: LatticeSpec, p: float, n: int, samples: int,
         raise ValueError("samples must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap = max(n, 1)
-    sizes, trunc = _collect_sizes(spec, p, cap, samples, rng_seed, EXP_PSI, threads)
-    successes = int((sizes >= n).sum())
-    lo, hi = wilson_interval(successes, samples)
-    return EstimateCI(successes / samples, lo, hi, samples,
-                      float(trunc.mean()))
+    return psi_curve(spec, p, [n], samples, rng_seed, threads)[n]
 
 
 def psi_curve(spec: LatticeSpec, p: float, n_list, samples: int,

@@ -15,7 +15,6 @@ disjoint vertex sets the green indicators are independent, so joint
 probabilities factor into products of 1 - e^{-h |set|} terms.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,71 +69,36 @@ def _check_measure_cap(n_edges, cap, what):
         raise CapExceeded(f"{what} limited to {cap} edges, got {n_edges}")
 
 
+def _cluster_labels(ball: GraphBall) -> np.ndarray:
+    """Cluster labels of every vertex in every configuration.
+
+    Row c, column v holds the smallest vertex index joined to v by edges open
+    in configuration c.  Rows below 2^(e+1) are rows below 2^e with edge e
+    opened, so adding one edge at a time, merging the two labels it joins
+    into their minimum, fills the whole (2^E, V) array.
+    """
+    _check_measure_cap(ball.n_edges, MEASURE_CAP, "cluster tables")
+    nv = ball.n_vertices
+    labels = np.empty((1 << ball.n_edges, nv), dtype=np.min_scalar_type(nv))
+    labels[0] = np.arange(nv)
+    for e, (i, j) in enumerate(ball.edges):
+        below = labels[:1 << e]
+        keep = np.minimum(below[:, i], below[:, j])[:, None]
+        drop = np.maximum(below[:, i], below[:, j])[:, None]
+        labels[1 << e:2 << e] = np.where(below == drop, keep, below)
+    return labels
+
+
 def cluster_size_table(ball: GraphBall) -> np.ndarray:
     """|origin cluster| for every configuration integer."""
-    _check_measure_cap(ball.n_edges, MEASURE_CAP, "cluster tables")
-    n = 1 << ball.n_edges
-    sizes = np.empty(n, dtype=np.int32)
-    incidence = ball.incidence
-    origin = ball.origin
-    for c in range(n):
-        seen = {origin}
-        queue = [origin]
-        while queue:
-            v = queue.pop()
-            for e, w in incidence[v]:
-                if (c >> e) & 1 and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        sizes[c] = len(seen)
-    return sizes
+    labels = _cluster_labels(ball)
+    return (labels == labels[:, [ball.origin]]).sum(axis=1, dtype=np.int32)
 
 
-def cluster_members_table(ball: GraphBall) -> list:
-    """Origin-cluster vertex sets for every configuration integer."""
-    _check_measure_cap(ball.n_edges, MEASURE_CAP, "cluster tables")
-    n = 1 << ball.n_edges
-    incidence = ball.incidence
-    origin = ball.origin
-    out = []
-    for c in range(n):
-        seen = {origin}
-        queue = [origin]
-        while queue:
-            v = queue.pop()
-            for e, w in incidence[v]:
-                if (c >> e) & 1 and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        out.append(frozenset(seen))
-    return out
-
-
-def _all_vertex_cluster_sizes(ball):
-    """Matrix of |cluster(v)| over (configuration, vertex)."""
-    n = 1 << ball.n_edges
-    nv = ball.n_vertices
-    sizes = np.empty((n, nv), dtype=np.int32)
-    for c in range(n):
-        parent = list(range(nv))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e, (i, j) in enumerate(ball.edges):
-            if (c >> e) & 1:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-        count = {}
-        roots = [find(v) for v in range(nv)]
-        for r in roots:
-            count[r] = count.get(r, 0) + 1
-        sizes[c] = [count[r] for r in roots]
-    return sizes
+def cluster_members_table(ball: GraphBall) -> np.ndarray:
+    """Origin-cluster membership, bool (2^E, V), for every configuration."""
+    labels = _cluster_labels(ball)
+    return labels == labels[:, [ball.origin]]
 
 
 def product_measure(ball: GraphBall, p: float) -> ExplicitMeasure:
@@ -189,7 +153,10 @@ def magnetization_bound(ball: GraphBall, p: float, h: float) -> float:
     vertex reaches a green vertex, revealed edges removed or not.
     """
     prod = product_measure(ball, p)
-    sizes = _all_vertex_cluster_sizes(ball)
+    labels = _cluster_labels(ball)
+    # |cluster(v)| per (configuration, vertex): count the labels of each row
+    flat = labels + labels.shape[1] * np.arange(len(labels), dtype=np.int64)[:, None]
+    sizes = np.bincount(flat.ravel(), minlength=labels.size)[flat]
     per_vertex = prod.weights @ -np.expm1(-h * sizes)
     return float(per_vertex.max())
 
@@ -227,26 +194,13 @@ def conditional_open_prob(ball: GraphBall, rule, p: float, h: float,
                           trace: ExplorationTrace) -> float:
     """P(next revealed edge is open) under the avoidance-conditioned law,
     given that the exploration so far matches ``trace``."""
-    _check_measure_cap(ball.n_edges, TRACE_CAP, "trace-indexed quantities")
-    cond = conditional_measure(ball, p, h)
-    e = rule.next_edge(ball, trace)
-    if e is None:
-        raise ValueError("trace is already exhausted")
-    mask = _cylinder_mask(ball.n_edges, trace)
-    den = float(cond.weights[mask].sum())
-    if den <= 0.0:
-        raise ValueError("trace has zero probability under the conditional law")
-    idx = np.arange(1 << ball.n_edges, dtype=np.int64)
-    num = float(cond.weights[mask & (((idx >> e) & 1) == 1)].sum())
-    return num / den
+    return make_conditional_oracle(ball, rule, p, h)(trace)
 
 
 def make_conditional_oracle(ball: GraphBall, rule, p: float, h: float):
     """Memoized trace -> conditional open probability, for the coupler."""
     _check_measure_cap(ball.n_edges, TRACE_CAP, "trace-indexed quantities")
-    cond = conditional_measure(ball, p, h)
-    weights = cond.weights
-    idx = np.arange(1 << ball.n_edges, dtype=np.int64)
+    weights = conditional_measure(ball, p, h).weights
     memo = {}
 
     def oracle(trace):
@@ -255,11 +209,13 @@ def make_conditional_oracle(ball: GraphBall, rule, p: float, h: float):
         if got is not None:
             return got
         e = rule.next_edge(ball, trace)
+        if e is None:
+            raise ValueError("trace is already exhausted")
         mask = _cylinder_mask(ball.n_edges, trace)
         den = float(weights[mask].sum())
         if den <= 0.0:
             raise ValueError("trace has zero probability under the conditional law")
-        num = float(weights[mask & (((idx >> e) & 1) == 1)].sum())
+        num = float(weights[_cylinder_mask(ball.n_edges, trace.extend(e, 1))].sum())
         memo[key] = num / den
         return memo[key]
 
@@ -325,19 +281,38 @@ def max_conditional_pivotal(ball: GraphBall, rule, p: float, h: float) -> float:
     return best
 
 
-def _reachable_set(ball, config_int, start, excluded_edges):
-    """Vertices joined to ``start`` by open edges outside ``excluded_edges``."""
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for e, w in ball.incidence[v]:
-            if e in excluded_edges or not (config_int >> e) & 1:
-                continue
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+def _fkg_tables(ball, p, h):
+    """Per-configuration tables of the FKG step: product weight, avoidance
+    weight, origin-cluster membership and cluster labels."""
+    prod = product_measure(ball, p).weights
+    members = cluster_members_table(ball)
+    avoid = prod * np.exp(-h * members.sum(axis=1))
+    return prod, avoid, members, _cluster_labels(ball)
+
+
+def _fkg_step(ball, h, tables, trace, e, mask):
+    """(lhs, rhs) of the FKG comparison at the prefix ``trace`` with next
+    edge ``e`` and cylinder ``mask``; None when ``e`` does not join the
+    revealed origin cluster to an outside vertex."""
+    i, j = ball.edges[e]
+    cluster = revealed_open_cluster(ball, trace)
+    if (i in cluster) == (j in cluster):
+        return None
+    w = j if i in cluster else i
+    prod, avoid, members, labels = tables
+    excluded = sum(1 << k for k in trace.order) | (1 << e)
+    configs = np.nonzero(mask)[0]
+    # Closing the excluded edges leaves w's cluster as the reachable set.
+    rows = labels[configs & ~excluded]
+    reach = rows == rows[:, [w]]
+    hit_all = -np.expm1(-h * reach.sum(axis=1))
+    hit_outside = -np.expm1(-h * (reach & ~members[configs]).sum(axis=1))
+    lhs_den = float(avoid[configs].sum())
+    rhs_den = float(prod[configs].sum())
+    if lhs_den <= 0.0 or rhs_den <= 0.0:
+        raise ValueError("conditioning event has zero probability")
+    return (float(avoid[configs] @ hit_outside) / lhs_den,
+            float(prod[configs] @ hit_all) / rhs_den)
 
 
 def fkg_step_check(ball: GraphBall, rule, p: float, h: float,
@@ -354,53 +329,23 @@ def fkg_step_check(ball: GraphBall, rule, p: float, h: float,
     e = rule.next_edge(ball, trace)
     if e is None:
         raise ValueError("trace is already exhausted")
-    i, j = ball.edges[e]
-    cluster = revealed_open_cluster(ball, trace)
-    if (i in cluster) == (j in cluster):
+    step = _fkg_step(ball, h, _fkg_tables(ball, p, h), trace, e,
+                     _cylinder_mask(ball.n_edges, trace))
+    if step is None:
         raise ValueError("next edge does not join the revealed cluster to its outside")
-    w_vertex = j if i in cluster else i
-
-    prod = product_measure(ball, p).weights
-    sizes = cluster_size_table(ball)
-    members = cluster_members_table(ball)
-    mask = _cylinder_mask(ball.n_edges, trace)
-    excluded = set(trace.order) | {e}
-
-    lhs_num = lhs_den = rhs_num = rhs_den = 0.0
-    for c in np.nonzero(mask)[0]:
-        c = int(c)
-        mu = float(prod[c])
-        if mu == 0.0:
-            continue
-        reach = _reachable_set(ball, c, w_vertex, excluded)
-        c_o = members[c]
-        avoid = math.exp(-h * sizes[c])
-        hit_all = -math.expm1(-h * len(reach))
-        hit_outside = -math.expm1(-h * len(reach - c_o))
-        lhs_num += mu * avoid * hit_outside
-        lhs_den += mu * avoid
-        rhs_num += mu * hit_all
-        rhs_den += mu
-    if lhs_den <= 0.0 or rhs_den <= 0.0:
-        raise ValueError("conditioning event has zero probability")
-    return lhs_num / lhs_den, rhs_num / rhs_den
+    return step
 
 
 def fkg_sweep(ball: GraphBall, rule, p: float, h: float) -> list:
     """fkg_step_check over every reachable prefix whose next edge has the
     cluster-to-outside structure; rows of (trace, edge, lhs, rhs)."""
-    prod = product_measure(ball, p).weights
-    sizes = cluster_size_table(ball)
-    avoid_w = prod * np.exp(-h * sizes)
+    tables = _fkg_tables(ball, p, h)
     rows = []
-    for trace, e, _mask in reachable_traces(ball, rule, avoid_w):
-        i, j = ball.edges[e]
-        cluster = revealed_open_cluster(ball, trace)
-        if (i in cluster) == (j in cluster):
-            continue
-        lhs, rhs = fkg_step_check(ball, rule, p, h, trace)
-        rows.append({"order": trace.order, "values": trace.values,
-                     "edge": e, "lhs": lhs, "rhs": rhs})
+    for trace, e, mask in reachable_traces(ball, rule, tables[1]):
+        step = _fkg_step(ball, h, tables, trace, e, mask)
+        if step is not None:
+            rows.append({"order": trace.order, "values": trace.values,
+                         "edge": e, "lhs": step[0], "rhs": step[1]})
     return rows
 
 
@@ -429,6 +374,9 @@ class _Dinic:
         self.cap.append(0.0)
 
     def max_flow(self, s, t, eps=1e-15):
+        """(max flow, BFS levels); vertices with a level >= 0 are those the
+        source reaches in the final residual graph, the source side of a
+        minimum cut."""
         flow = 0.0
         while True:
             level = [-1] * self.n
@@ -444,7 +392,7 @@ class _Dinic:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
-                return flow
+                return flow, level
             it = [0] * self.n
 
             def dfs(u, limit):
@@ -467,19 +415,6 @@ class _Dinic:
                 if pushed <= eps:
                     break
                 flow += pushed
-
-    def residual_reachable(self, s, eps=1e-15):
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > eps and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
 
 
 def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCertificate:
@@ -511,7 +446,7 @@ def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCe
             if sub == 0:
                 break
             sub = (sub - 1) & rem
-    flow = net.max_flow(src, sink)
+    flow, level = net.max_flow(src, sink)
     if flow >= 1.0 - FLOW_TOL:
         coupling = {}
         for c in xs:
@@ -524,8 +459,7 @@ def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCe
                     if shipped > 1e-12:
                         coupling[(c, ys[v - 1 - len(xs)])] = shipped
         return DominationCertificate(True, flow, E, coupling=coupling)
-    reach = net.residual_reachable(src)
-    seeds = [c for c in xs if reach[x_id[c]]]
+    seeds = [c for c in xs if level[x_id[c]] >= 0]
     event = np.zeros(1 << E, dtype=bool)
     event[seeds] = True
     event = _up_closure(event, E)
@@ -573,9 +507,8 @@ def certificate_to_json(cert: DominationCertificate) -> dict:
         out["coupling"] = [[int(x), int(y), float(w)]
                            for (x, y), w in sorted(cert.coupling.items())]
     else:
-        support = np.nonzero(cert.event_mask)[0]
         out["gap"] = float(cert.gap)
-        out["event_size"] = int(len(support))
+        out["event_size"] = int(cert.event_mask.sum())
         out["event_min_elements"] = _minimal_elements(cert.event_mask, cert.n_edges)
     return out
 

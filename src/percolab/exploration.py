@@ -82,11 +82,6 @@ class ClusterFirstRule:
 CLUSTER_FIRST = ClusterFirstRule()
 
 
-def cluster_first_next(ball: GraphBall, trace: ExplorationTrace):
-    """Next edge under the cluster-first rule, or None when exhausted."""
-    return CLUSTER_FIRST.next_edge(ball, trace)
-
-
 def run_exploration(ball: GraphBall, rule, config: np.ndarray) -> ExplorationTrace:
     """Reveal every edge of ``config`` in the order chosen by ``rule``."""
     trace = ExplorationTrace()
@@ -109,34 +104,21 @@ def validate_trace(ball: GraphBall, rule, trace: ExplorationTrace) -> None:
         prefix = prefix.extend(e, x)
 
 
-@dataclass(frozen=True)
-class PivotalQuery:
-    """One pivotality question: flip ``edge`` in ``config`` with ``ghost`` fixed."""
-
-    edge: int
-    config: np.ndarray
-    ghost: np.ndarray
+def _flip_clusters(ball, config, edge):
+    """Origin clusters with ``edge`` forced closed and forced open."""
+    clusters = []
+    for bit in (0, 1):
+        flipped = np.array(config, dtype=np.uint8)
+        flipped[edge] = bit
+        clusters.append(cluster_of_origin(ball, flipped))
+    return clusters
 
 
 def is_pivotal_avoidance(ball: GraphBall, config: np.ndarray,
                          ghost: np.ndarray, edge: int) -> bool:
     """Does flipping ``edge`` change whether the origin cluster avoids green?"""
-    lo = np.array(config, dtype=np.uint8)
-    hi = np.array(config, dtype=np.uint8)
-    lo[edge] = 0
-    hi[edge] = 1
-    avoid_lo = _avoids_green(ball, lo, ghost)
-    avoid_hi = _avoids_green(ball, hi, ghost)
-    return avoid_lo != avoid_hi
-
-
-def evaluate_pivotal_query(ball: GraphBall, query: PivotalQuery) -> bool:
-    return is_pivotal_avoidance(ball, query.config, query.ghost, query.edge)
-
-
-def _avoids_green(ball, config, ghost):
-    members = cluster_of_origin(ball, config).members
-    return not any(ghost[v] for v in members)
+    lo, hi = _flip_clusters(ball, config, edge)
+    return any(ghost[v] for v in lo.members) != any(ghost[v] for v in hi.members)
 
 
 def pivotal_ghost_weight(ball: GraphBall, config: np.ndarray,
@@ -149,28 +131,8 @@ def pivotal_ghost_weight(ball: GraphBall, config: np.ndarray,
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    lo = np.array(config, dtype=np.uint8)
-    hi = np.array(config, dtype=np.uint8)
-    lo[edge] = 0
-    hi[edge] = 1
-    s_lo = cluster_of_origin(ball, lo).size
-    s_hi = cluster_of_origin(ball, hi).size
-    d = s_hi - s_lo
+    lo, hi = _flip_clusters(ball, config, edge)
+    d = hi.size - lo.size
     if d == 0:
         return 0.0
-    return math.exp(-h * s_lo) * -math.expm1(-h * d)
-
-
-def trace_to_json(trace: ExplorationTrace) -> list:
-    """Trace as a list of [edge index, revealed bit] pairs."""
-    return [[int(e), int(x)] for e, x in zip(trace.order, trace.values)]
-
-
-def trace_from_json(data, ball: GraphBall = None, rule=None) -> ExplorationTrace:
-    """Rebuild a trace; optionally validate it against a ball and rule."""
-    order = tuple(int(e) for e, _ in data)
-    values = tuple(int(x) for _, x in data)
-    trace = ExplorationTrace(order, values)
-    if ball is not None and rule is not None:
-        validate_trace(ball, rule, trace)
-    return trace
+    return math.exp(-h * lo.size) * -math.expm1(-h * d)

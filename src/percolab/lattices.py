@@ -12,6 +12,7 @@ radius n+1 under the same convention.  Edges with one endpoint outside the
 ball are excluded, so boundary vertices have reduced degree.
 """
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -207,19 +208,49 @@ def ball_to_json(ball: GraphBall) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Integer key encodings shared by the lazy growth kernels and the ball
+# Integer key encodings shared by the lazy growth kernel and the ball
 # cross-checks.  Vertex keys are injective for coordinates below _KEY_HALF;
 # edge keys are (canonical endpoint key) * (#positive directions) + direction.
 # ---------------------------------------------------------------------------
 
-def positive_offsets(spec: LatticeSpec) -> list:
-    """Key-space offsets, one per canonical edge direction."""
+@functools.lru_cache(maxsize=16)
+def incident_edges(spec: LatticeSpec):
+    """Function mapping a vertex key to its [(edge key, neighbor key), ...].
+
+    The list order is the reveal order of lazy growth: on hypercubic and
+    triangular lattices, for each positive direction the forward edge and
+    then the backward one; on trees the parent edge, then the children.
+    Cached, because growth asks for it once per replicate.
+    """
+    if spec.family == REGULAR_TREE:
+        r = spec.tree_degree
+        base = r + 1
+
+        def incident(v):
+            first = v * base + 1
+            if v == 1:
+                return [(c, c) for c in range(first, first + r)]
+            out = [(v, v // base)]
+            for c in range(first, first + r - 1):
+                out.append((c, c))
+            return out
+
+        return incident
     if spec.family == HYPERCUBIC:
-        return [_KEY_M ** i for i in range(spec.dimension)]
-    if spec.family == TRIANGULAR:
-        # (a, b+1), (a+1, b), (a+1, b-1)
-        return [1, _KEY_M, _KEY_M - 1]
-    raise ValueError("trees use the parent/child key scheme")
+        offsets = [_KEY_M ** i for i in range(spec.dimension)]
+    else:  # triangular: (a, b+1), (a+1, b), (a+1, b-1)
+        offsets = [1, _KEY_M, _KEY_M - 1]
+    ndir = len(offsets)
+    directions = tuple(enumerate(offsets))
+
+    def incident(v):
+        out = []
+        for d, off in directions:
+            out.append((v * ndir + d, v + off))
+            out.append(((v - off) * ndir + d, v - off))
+        return out
+
+    return incident
 
 
 def vertex_key(spec: LatticeSpec, v: tuple) -> int:
@@ -267,16 +298,8 @@ def key_to_coords(spec: LatticeSpec, key: int) -> tuple:
 
 def edge_key(spec: LatticeSpec, va: tuple, vb: tuple) -> int:
     """Canonical integer key of the undirected lattice edge {va, vb}."""
-    if spec.family == REGULAR_TREE:
-        child = va if len(va) > len(vb) else vb
-        return vertex_key(spec, child)
-    offs = positive_offsets(spec)
-    ka = vertex_key(spec, va)
     kb = vertex_key(spec, vb)
-    delta = kb - ka
-    for d, off in enumerate(offs):
-        if delta == off:
-            return ka * len(offs) + d
-        if delta == -off:
-            return kb * len(offs) + d
+    for ek, w in incident_edges(spec)(vertex_key(spec, va)):
+        if w == kb:
+            return ek
     raise ValueError(f"{va} and {vb} are not lattice neighbors")

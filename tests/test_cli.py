@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import percolab
 from percolab.cli import main
 
 
@@ -135,6 +141,29 @@ def test_config_file_merging(tmp_path):
     assert report["points"][0]["p"] == 0.5
 
 
+def test_config_values_are_validated_like_flags(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"lattice": "z9"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--config", str(bad), "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    # a string value is parsed like the same flag typed on the command line
+    cfg = tmp_path / "samples.json"
+    cfg.write_text(json.dumps({"samples": "100", "lattice": "z2", "n_max": 60,
+                               "cap": None, "unknown": 1}))
+    out = tmp_path / "samples"
+    assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["args"]["samples"] == 100
+
+
+def test_decay_rejects_short_fit_range_before_growing(tmp_path):
+    out = tmp_path / "short"
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--lattice", "z2", "--n-max", "40", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_manifest_rerun_config(tmp_path):
     # a manifest doubles as a config file for reruns
     out1 = tmp_path / "run1"
@@ -161,3 +190,24 @@ def test_byte_identical_reruns(tmp_path):
     m2 = _read_json(out2 / "manifest.json")
     assert m1["outputs"] == m2["outputs"]
     assert m1["args"] == m2["args"]
+
+
+def test_decay_threads_match_serial(tmp_path):
+    args = ["decay", "--lattice", "z2", "--p", "0.4", "--n-max", "60",
+            "--samples", "600", "--seed", "5"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main(args + ["--out", str(serial)]) == 0
+    assert main(args + ["--threads", "2", "--out", str(pooled)]) == 0
+    for name in ("decay_curve.csv", "decay_fit.json"):
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(percolab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, percolab.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

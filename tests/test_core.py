@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from percolab.core import (
     EXP_GROW,
     MAX_CLUSTER_CAP,
-    Params,
     cluster_of_origin,
-    config_from_hex,
-    config_to_hex,
-    ghost_avoidance_weight,
     grow_cluster_size,
     lazy_cluster,
     sample_config,
@@ -20,6 +16,7 @@ from percolab.core import (
     sample_ghost,
 )
 from percolab.errors import CapExceeded
+from percolab.exact import exact_magnetization
 from percolab.lattices import LatticeSpec, build_ball
 from percolab.streams import derive_key, stream
 
@@ -87,25 +84,18 @@ def test_cluster_single_open_edge(z1_ball2):
     assert {z1_ball2.vertices[v] for v in got.members} == target
 
 
-def test_ghost_avoidance_weight_values():
-    assert ghost_avoidance_weight(17, 0.0) == 1.0
-    assert abs(ghost_avoidance_weight(1, math.log(2)) - 0.5) < 1e-15
-    assert abs(ghost_avoidance_weight(3, 0.5) - math.exp(-1.5)) < 1e-15
-    with pytest.raises(ValueError):
-        ghost_avoidance_weight(0, 0.5)
-
-
-def test_ghost_avoidance_weight_by_enumeration():
-    # 3 vertices: sum P(ghost state) over states with no green among them
+def test_ghost_avoidance_weight_by_enumeration(z1_ball1):
+    # at p = 1 the origin cluster is the whole 3-vertex ball, so the exact
+    # magnetization is P(some vertex green), summed over the 8 ghost states
     h = 0.5
     g = 1 - math.exp(-h)
     total = 0.0
     for state in range(8):
         bits = [(state >> i) & 1 for i in range(3)]
         prob = math.prod(g if b else 1 - g for b in bits)
-        if not any(bits):
+        if any(bits):
             total += prob
-    assert abs(total - ghost_avoidance_weight(3, h)) < 1e-12
+    assert abs(total - exact_magnetization(z1_ball1, 1.0, h)) < 1e-12
 
 
 def test_ghost_avoidance_weight_matches_sampling(z2_ball1):
@@ -117,7 +107,7 @@ def test_ghost_avoidance_weight_matches_sampling(z2_ball1):
     u = stream(123, 77).random((n, z2_ball1.n_vertices))
     ghosts = u < (1 - math.exp(-h))
     freq = float((~ghosts[:, members].any(axis=1)).mean())
-    truth = ghost_avoidance_weight(len(members), h)
+    truth = math.exp(-h * len(members))
     se = math.sqrt(truth * (1 - truth) / n)
     assert abs(freq - truth) <= 3 * se
 
@@ -173,26 +163,3 @@ def test_grow_matches_lazy_cluster(z2):
 def test_grow_cluster_size_tree(tree3):
     assert grow_cluster_size(tree3, 0.0, 10, 42) == (1, False)
     assert grow_cluster_size(tree3, 1.0, 64, 42) == (64, True)
-
-
-def test_params():
-    params = Params(0.6, math.log(2))
-    assert abs(params.green_prob - 0.5) < 1e-15
-    assert params.reduced(0.0) == 0.6
-    assert params.reduced(0.5) == pytest.approx(0.3)
-    assert params.reduced(0.5) <= params.p
-    with pytest.raises(ValueError):
-        Params(1.5, 0.0)
-    with pytest.raises(ValueError):
-        Params(0.5, -1.0)
-    with pytest.raises(ValueError):
-        params.reduced(1.0)
-
-
-def test_config_hex_roundtrip(z2_ball1):
-    config = sample_config(z2_ball1, 0.5, 17)
-    text = config_to_hex(config)
-    back = config_from_hex(text, z2_ball1.n_edges)
-    assert np.array_equal(config, back)
-    with pytest.raises(ValueError):
-        config_from_hex("00", 100)

@@ -8,15 +8,10 @@ from percolab.lattices import LatticeSpec, build_ball
 from percolab.exploration import (
     CLUSTER_FIRST,
     ExplorationTrace,
-    PivotalQuery,
-    cluster_first_next,
-    evaluate_pivotal_query,
     is_pivotal_avoidance,
     pivotal_ghost_weight,
     revealed_open_cluster,
     run_exploration,
-    trace_from_json,
-    trace_to_json,
     validate_trace,
 )
 from percolab.streams import stream
@@ -31,18 +26,18 @@ def _edge_index(ball, ca, cb):
 
 def test_first_edge_is_constant(z1_ball2):
     # smallest-index edge incident to the origin, independent of the config
-    assert cluster_first_next(z1_ball2, ExplorationTrace()) == 0
+    assert CLUSTER_FIRST.next_edge(z1_ball2, ExplorationTrace()) == 0
 
 
 def test_exhausted_trace(single_edge_ball):
     trace = ExplorationTrace((0,), (1,))
-    assert cluster_first_next(single_edge_ball, trace) is None
+    assert CLUSTER_FIRST.next_edge(single_edge_ball, trace) is None
 
 
 def test_cluster_phase_ends_after_closed_origin_edges(z1_ball2):
     # both origin edges revealed closed: next is the smallest non-incident edge
     trace = ExplorationTrace((0, 1), (0, 0))
-    assert cluster_first_next(z1_ball2, trace) == 2
+    assert CLUSTER_FIRST.next_edge(z1_ball2, trace) == 2
 
 
 def test_run_exploration_single_edge(single_edge_ball):
@@ -127,8 +122,6 @@ def test_pivotal_green_neighbor(z1_ball1):
     for other_state in (0, 1):
         config = np.full(2, other_state, dtype=np.uint8)
         assert is_pivotal_avoidance(z1_ball1, config, ghost, e)
-        query = PivotalQuery(e, config, ghost)
-        assert evaluate_pivotal_query(z1_ball1, query)
 
 
 def test_pivotal_weight_trivial(z1_ball1):
@@ -224,11 +217,3 @@ def test_pivotal_step_has_cluster_structure(z2_ball1):
                 i, j = z2_ball1.edges[e]
                 assert (i in cluster) != (j in cluster)
             trace = trace.extend(e, x)
-
-
-def test_trace_json_roundtrip(z1_ball2):
-    config = sample_config(z1_ball2, 0.5, 5)
-    trace = run_exploration(z1_ball2, CLUSTER_FIRST, config)
-    doc = trace_to_json(trace)
-    back = trace_from_json(doc, z1_ball2, CLUSTER_FIRST)
-    assert back == trace
