@@ -40,10 +40,8 @@ from .exact import (
     DominationCertificate,
     ExplicitMeasure,
     conditional_measure,
-    conditional_open_prob,
     exact_magnetization,
     exact_psi,
-    fkg_step_check,
     magnetization_bound,
     make_conditional_oracle,
     max_conditional_pivotal,

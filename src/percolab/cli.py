@@ -269,8 +269,9 @@ def cmd_couple_demo(ns, out):
     return 0
 
 
-def _add_command(subs, name, func, help):
-    """Subparser for ``name`` with the flags every command shares."""
+def _add_command(subs, name, func, help, threads=False):
+    """Subparser for ``name`` with the flags every command shares, and
+    ``--threads`` when the command grows clusters by Monte Carlo."""
     sub = subs.add_parser(name, help=help)
     sub.set_defaults(func=func)
     sub.add_argument("--lattice", choices=sorted(LATTICES), default="z1")
@@ -278,8 +279,9 @@ def _add_command(subs, name, func, help):
                      help="64-bit master seed for all randomness")
     sub.add_argument("--out", default="percolab-out",
                      help="output directory for CSV/JSON artifacts")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker pool size; results do not depend on it")
+    if threads:
+        sub.add_argument("--threads", type=int, default=1,
+                         help="worker pool size; results do not depend on it")
     sub.add_argument("--config", default=None,
                      help="JSON file of flag values (a manifest works too)")
     return sub
@@ -300,7 +302,7 @@ def build_parser():
                    help="test hook: replace q = p(1-eps*) in the certificate")
 
     s = _add_command(subs, "verify-tail-bound", cmd_verify_tail_bound,
-                     "tail inequality, exact or Monte Carlo")
+                     "tail inequality, exact or Monte Carlo", threads=True)
     s.add_argument("--mode", choices=["exact", "mc"], default="exact")
     s.add_argument("--radius", type=int, default=2)
     s.add_argument("--p", default=DEFAULT_P_GRID)
@@ -309,13 +311,15 @@ def build_parser():
     s.add_argument("--samples", type=int, default=10_000)
     s.add_argument("--cap", type=int, default=100_000)
 
-    s = _add_command(subs, "decay", cmd_decay, "tail curve and exponential fit")
+    s = _add_command(subs, "decay", cmd_decay, "tail curve and exponential fit",
+                     threads=True)
     s.add_argument("--p", default="0.4")
     s.add_argument("--n-max", dest="n_max", type=_decay_n_max, default=120)
     s.add_argument("--samples", type=int, default=100_000)
 
     s = _add_command(subs, "meanfield", cmd_meanfield,
-                     "reduced parameter vs the square-lattice threshold")
+                     "reduced parameter vs the square-lattice threshold",
+                     threads=True)
     s.add_argument("--p", default="0.55,0.6,0.7,0.8,0.9,1.0")
     s.add_argument("--h", default="0.05")
     s.add_argument("--cap", type=int, default=100_000)

@@ -33,6 +33,11 @@ EXP_BALL = 14
 
 DEFAULT_CONFIDENCE = 0.999
 
+# The square lattice's exact bond threshold, and the slack meanfield_verdict
+# allows q above it.
+MEANFIELD_REFERENCE_PC = 0.5
+MEANFIELD_TOLERANCE = 0.01
+
 # Growth beyond this many multiples of 1/h changes 1 - e^{-h size} by less
 # than 1e-15, i.e. below double precision of the estimate itself.
 _SATURATION_LOG = -math.log(1e-15)
@@ -302,14 +307,13 @@ def decay_fit(psi_table) -> DecayFit:
 
 
 def meanfield_verdict(spec: LatticeSpec, p_list, h: float, cap: int,
-                      samples: int, rng_seed: int, tolerance: float = 0.01,
-                      reference_pc: float = 0.5, threads: int = 1) -> list:
+                      samples: int, rng_seed: int, threads: int = 1) -> list:
     """Check q = p(1 - m_h(p)) against the square lattice's known threshold.
 
     Only supports the two-dimensional hypercubic lattice, whose bond
     threshold 1/2 is an externally known exact value.  The verdict uses the
     adversarially large q (magnetization interval's low end): PASS iff that
-    q stays below reference_pc + tolerance.
+    q stays below MEANFIELD_REFERENCE_PC + MEANFIELD_TOLERANCE.
     """
     if spec.family != HYPERCUBIC or spec.dimension != 2:
         raise ValueError("reference threshold is wired in for hypercubic d=2 only")
@@ -318,7 +322,8 @@ def meanfield_verdict(spec: LatticeSpec, p_list, h: float, cap: int,
         mag = estimate_magnetization(spec, p, h, cap, samples, rng_seed, threads)
         q_upper = p * (1.0 - mag.lower.lo)
         q_lower = p * (1.0 - mag.upper.hi)
-        verdict = "PASS" if q_upper <= reference_pc + tolerance else "FAIL"
+        verdict = ("PASS" if q_upper <= MEANFIELD_REFERENCE_PC + MEANFIELD_TOLERANCE
+                   else "FAIL")
         rows.append({"p": p, "m_lo": mag.lower.lo, "m_hi": mag.upper.hi,
                      "q_upper": q_upper, "q_lower": q_lower,
                      "truncated_fraction": mag.lower.truncated_fraction,

@@ -15,6 +15,7 @@ disjoint vertex sets the green indicators are independent, so joint
 probabilities factor into products of 1 - e^{-h |set|} terms.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +108,18 @@ def product_measure(ball: GraphBall, p: float) -> ExplicitMeasure:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     E = ball.n_edges
-    pops = _popcounts(E)
+    pops = _edge_bits(E).sum(axis=0)
     w = np.power(p, pops) * np.power(1.0 - p, E - pops)
     return ExplicitMeasure(w, E)
 
 
-def _popcounts(n_edges):
-    idx = np.arange(1 << n_edges, dtype=np.uint32)
-    pops = np.zeros(1 << n_edges, dtype=np.int64)
-    while idx.any():
-        pops += idx & 1
-        idx >>= 1
-    return pops
+def _edge_bits(n_edges):
+    """Bool (E, 2^E) table: row e marks the configurations with edge e open."""
+    idx = np.arange(1 << n_edges, dtype=np.int64)
+    bits = np.empty((n_edges, 1 << n_edges), dtype=bool)
+    for e in range(n_edges):
+        bits[e] = (idx >> e) & 1
+    return bits
 
 
 def conditional_measure(ball: GraphBall, p: float, h: float) -> ExplicitMeasure:
@@ -182,67 +183,62 @@ def magnetization_table(ball: GraphBall, p_list, h_list) -> list:
             for p in p_list for h in h_list]
 
 
-def _cylinder_mask(n_edges, trace):
-    mask = np.ones(1 << n_edges, dtype=bool)
-    idx = np.arange(1 << n_edges, dtype=np.int64)
-    for e, x in zip(trace.order, trace.values):
-        mask &= ((idx >> e) & 1) == x
-    return mask
+@functools.lru_cache(maxsize=8)
+def _exploration_tree(ball: GraphBall, rule) -> tuple:
+    """Every trace prefix of length 0 .. |E|-1 as (trace, next edge, cylinder
+    mask), depth first with the closed branch before the open one.
 
-
-def conditional_open_prob(ball: GraphBall, rule, p: float, h: float,
-                          trace: ExplorationTrace) -> float:
-    """P(next revealed edge is open) under the avoidance-conditioned law,
-    given that the exploration so far matches ``trace``."""
-    return make_conditional_oracle(ball, rule, p, h)(trace)
-
-
-def make_conditional_oracle(ball: GraphBall, rule, p: float, h: float):
-    """Memoized trace -> conditional open probability, for the coupler."""
+    The tree depends only on the ball and the rule, so it is built once and
+    shared by every weight vector; its masks are read-only.
+    """
     _check_measure_cap(ball.n_edges, TRACE_CAP, "trace-indexed quantities")
-    weights = conditional_measure(ball, p, h).weights
-    memo = {}
-
-    def oracle(trace):
-        key = (trace.order, trace.values)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        e = rule.next_edge(ball, trace)
-        if e is None:
-            raise ValueError("trace is already exhausted")
-        mask = _cylinder_mask(ball.n_edges, trace)
-        den = float(weights[mask].sum())
-        if den <= 0.0:
-            raise ValueError("trace has zero probability under the conditional law")
-        num = float(weights[_cylinder_mask(ball.n_edges, trace.extend(e, 1))].sum())
-        memo[key] = num / den
-        return memo[key]
-
-    return oracle
-
-
-def reachable_traces(ball: GraphBall, rule, weights: np.ndarray):
-    """Yield (trace, next_edge, cylinder_mask) for every positive-probability
-    trace prefix of length 0 .. |E|-1 under the given weight vector."""
-    _check_measure_cap(ball.n_edges, TRACE_CAP, "trace-indexed quantities")
-    n = 1 << ball.n_edges
-    idx = np.arange(n, dtype=np.int64)
-    bit = [((idx >> e) & 1) == 1 for e in range(ball.n_edges)]
+    bits = _edge_bits(ball.n_edges)
+    nodes = []
 
     def rec(trace, mask):
         e = rule.next_edge(ball, trace)
         if e is None:
             return
-        yield trace, e, mask
-        for b in (0, 1):
-            sub = mask & (bit[e] if b else ~bit[e])
-            if float(weights[sub].sum()) > 0.0:
-                yield from rec(trace.extend(e, b), sub)
+        mask.flags.writeable = False
+        nodes.append((trace, e, mask))
+        rec(trace.extend(e, 0), mask & ~bits[e])
+        rec(trace.extend(e, 1), mask & bits[e])
 
-    root = np.ones(n, dtype=bool)
-    if float(weights.sum()) > 0.0:
-        yield from rec(ExplorationTrace(), root)
+    rec(ExplorationTrace(), np.ones(1 << ball.n_edges, dtype=bool))
+    return tuple(nodes)
+
+
+def reachable_traces(ball: GraphBall, rule, weights: np.ndarray) -> list:
+    """(trace, next_edge, cylinder_mask) for every positive-probability trace
+    prefix of length 0 .. |E|-1 under the nonnegative weight vector, in the
+    exploration tree's order."""
+    return [node for node in _exploration_tree(ball, rule)
+            if float(weights[node[2]].sum()) > 0.0]
+
+
+def make_conditional_oracle(ball: GraphBall, rule, p: float, h: float):
+    """Trace -> P(next revealed edge is open) under the avoidance-conditioned
+    law, given that the exploration so far matches the trace.
+
+    Defined on the positive-probability prefixes of the exploration; any
+    other trace raises ValueError.
+    """
+    weights = conditional_measure(ball, p, h).weights
+    bits = _edge_bits(ball.n_edges)
+    probs = {(trace.order, trace.values):
+             float(weights[mask & bits[e]].sum()) / float(weights[mask].sum())
+             for trace, e, mask in reachable_traces(ball, rule, weights)}
+
+    def oracle(trace):
+        got = probs.get((trace.order, trace.values))
+        if got is not None:
+            return got
+        if trace.k >= ball.n_edges:
+            raise ValueError("trace is already exhausted")
+        raise ValueError("trace leaves the rule or has zero probability "
+                         "under the conditional law")
+
+    return oracle
 
 
 def max_conditional_pivotal(ball: GraphBall, rule, p: float, h: float) -> float:
@@ -257,6 +253,7 @@ def max_conditional_pivotal(ball: GraphBall, rule, p: float, h: float) -> float:
     prod = product_measure(ball, p).weights
     sizes = cluster_size_table(ball)
     idx = np.arange(1 << E, dtype=np.int64)
+    bits = _edge_bits(E)
     avoid_w = prod * np.exp(-h * sizes)
 
     # Pivotal-and-avoid weight of configuration c with next edge e: zero when
@@ -266,86 +263,49 @@ def max_conditional_pivotal(ball: GraphBall, rule, p: float, h: float) -> float:
     for e in range(E):
         s_minus = sizes[np.asarray(idx & ~np.int64(1 << e), dtype=np.int64)]
         s_plus = sizes[np.asarray(idx | np.int64(1 << e), dtype=np.int64)]
-        closed = ((idx >> e) & 1) == 0
         w = prod * np.exp(-h * s_minus) * -np.expm1(-h * (s_plus - s_minus))
-        w[~closed] = 0.0
+        w[bits[e]] = 0.0
         piv_w.append(w)
 
     best = 0.0
     for trace, e, mask in reachable_traces(ball, rule, avoid_w):
-        den = float(avoid_w[mask].sum())
-        if den <= 0.0:
-            continue
         num = float(piv_w[e][mask].sum())
-        best = max(best, num / den)
+        best = max(best, num / float(avoid_w[mask].sum()))
     return best
 
 
-def _fkg_tables(ball, p, h):
-    """Per-configuration tables of the FKG step: product weight, avoidance
-    weight, origin-cluster membership and cluster labels."""
+def fkg_sweep(ball: GraphBall, rule, p: float, h: float) -> list:
+    """Exact two-sided Harris-FKG comparison at every reachable prefix whose
+    next edge joins a vertex of the revealed origin cluster to an outside
+    vertex w.
+
+    B is the event that w reaches a green vertex through open edges other
+    than the revealed ones and the next edge itself.  Each row holds the
+    prefix, the edge, lhs = P(B | avoidance, prefix) and rhs = P(B | prefix);
+    positive association of the product law forces lhs <= rhs.
+    """
     prod = product_measure(ball, p).weights
     members = cluster_members_table(ball)
+    labels = _cluster_labels(ball)
     avoid = prod * np.exp(-h * members.sum(axis=1))
-    return prod, avoid, members, _cluster_labels(ball)
-
-
-def _fkg_step(ball, h, tables, trace, e, mask):
-    """(lhs, rhs) of the FKG comparison at the prefix ``trace`` with next
-    edge ``e`` and cylinder ``mask``; None when ``e`` does not join the
-    revealed origin cluster to an outside vertex."""
-    i, j = ball.edges[e]
-    cluster = revealed_open_cluster(ball, trace)
-    if (i in cluster) == (j in cluster):
-        return None
-    w = j if i in cluster else i
-    prod, avoid, members, labels = tables
-    excluded = sum(1 << k for k in trace.order) | (1 << e)
-    configs = np.nonzero(mask)[0]
-    # Closing the excluded edges leaves w's cluster as the reachable set.
-    rows = labels[configs & ~excluded]
-    reach = rows == rows[:, [w]]
-    hit_all = -np.expm1(-h * reach.sum(axis=1))
-    hit_outside = -np.expm1(-h * (reach & ~members[configs]).sum(axis=1))
-    lhs_den = float(avoid[configs].sum())
-    rhs_den = float(prod[configs].sum())
-    if lhs_den <= 0.0 or rhs_den <= 0.0:
-        raise ValueError("conditioning event has zero probability")
-    return (float(avoid[configs] @ hit_outside) / lhs_den,
-            float(prod[configs] @ hit_all) / rhs_den)
-
-
-def fkg_step_check(ball: GraphBall, rule, p: float, h: float,
-                   trace: ExplorationTrace):
-    """Exact two-sided Harris-FKG comparison at one exploration step.
-
-    The next edge must join a vertex of the revealed origin cluster to an
-    outside vertex w.  B is the event that w reaches a green vertex through
-    open edges other than the revealed ones and the next edge itself.
-    Returns (lhs, rhs) = (P(B | avoidance, prefix), P(B | prefix)); positive
-    association of the product law forces lhs <= rhs.
-    """
-    _check_measure_cap(ball.n_edges, TRACE_CAP, "trace-indexed quantities")
-    e = rule.next_edge(ball, trace)
-    if e is None:
-        raise ValueError("trace is already exhausted")
-    step = _fkg_step(ball, h, _fkg_tables(ball, p, h), trace, e,
-                     _cylinder_mask(ball.n_edges, trace))
-    if step is None:
-        raise ValueError("next edge does not join the revealed cluster to its outside")
-    return step
-
-
-def fkg_sweep(ball: GraphBall, rule, p: float, h: float) -> list:
-    """fkg_step_check over every reachable prefix whose next edge has the
-    cluster-to-outside structure; rows of (trace, edge, lhs, rhs)."""
-    tables = _fkg_tables(ball, p, h)
     rows = []
-    for trace, e, mask in reachable_traces(ball, rule, tables[1]):
-        step = _fkg_step(ball, h, tables, trace, e, mask)
-        if step is not None:
-            rows.append({"order": trace.order, "values": trace.values,
-                         "edge": e, "lhs": step[0], "rhs": step[1]})
+    for trace, e, mask in reachable_traces(ball, rule, avoid):
+        i, j = ball.edges[e]
+        cluster = revealed_open_cluster(ball, trace)
+        if (i in cluster) == (j in cluster):
+            continue
+        w = j if i in cluster else i
+        excluded = sum(1 << k for k in trace.order) | (1 << e)
+        configs = np.nonzero(mask)[0]
+        # Closing the excluded edges leaves w's cluster as the reachable set.
+        sub = labels[configs & ~excluded]
+        reach = sub == sub[:, [w]]
+        hit_all = -np.expm1(-h * reach.sum(axis=1))
+        hit_outside = -np.expm1(-h * (reach & ~members[configs]).sum(axis=1))
+        lhs = float(avoid[configs] @ hit_outside) / float(avoid[configs].sum())
+        rhs = float(prod[configs] @ hit_all) / float(prod[configs].sum())
+        rows.append({"order": trace.order, "values": trace.values,
+                     "edge": e, "lhs": lhs, "rhs": rhs})
     return rows
 
 
@@ -470,9 +430,8 @@ def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCe
 def _up_closure(indicator: np.ndarray, n_edges: int) -> np.ndarray:
     """Smallest increasing event containing the marked configurations."""
     event = indicator.copy()
-    idx = np.arange(1 << n_edges, dtype=np.int64)
-    for e in range(n_edges):
-        clear = np.nonzero(((idx >> e) & 1) == 0)[0]
+    for e, bit in enumerate(_edge_bits(n_edges)):
+        clear = np.nonzero(~bit)[0]
         event[clear + (1 << e)] |= event[clear]
     return event
 

@@ -27,8 +27,6 @@ REGULAR_TREE = "regular_tree"
 _KEY_M = 1 << 22
 _KEY_HALF = _KEY_M >> 1
 
-_TRI_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-
 DEFAULT_MAX_BALL_VERTICES = 2_000_000
 
 
@@ -88,27 +86,14 @@ class LatticeSpec:
 
 
 def lazy_neighbors(spec: LatticeSpec, v: tuple) -> list:
-    """All lattice neighbors of the vertex with coordinates ``v``.
+    """All lattice neighbors of the vertex with coordinates ``v``, in the
+    reveal order of ``incident_edges``.
 
     Pure and symmetric: w in lazy_neighbors(v) iff v in lazy_neighbors(w).
     The result has exactly ``spec.degree`` entries.
     """
-    if spec.family == HYPERCUBIC:
-        out = []
-        for i in range(spec.dimension):
-            for step in (1, -1):
-                w = list(v)
-                w[i] += step
-                out.append(tuple(w))
-        return out
-    if spec.family == TRIANGULAR:
-        a, b = v
-        return [(a + da, b + db) for da, db in _TRI_OFFSETS]
-    # Regular tree: vertices are tuples of child indices, root is ().
-    r = spec.tree_degree
-    if v == ():
-        return [(i,) for i in range(r)]
-    return [v[:-1]] + [v + (i,) for i in range(r - 1)]
+    incident = incident_edges(spec)(vertex_key(spec, v))
+    return [key_to_coords(spec, w) for _, w in incident]
 
 
 class GraphBall:
@@ -208,8 +193,9 @@ def ball_to_json(ball: GraphBall) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Integer key encodings shared by the lazy growth kernel and the ball
-# cross-checks.  Vertex keys are injective for coordinates below _KEY_HALF;
+# Integer key encodings shared by the lazy growth kernel, ball construction
+# (through lazy_neighbors) and the cross-checks.  Vertex keys are injective
+# for coordinates below _KEY_HALF;
 # edge keys are (canonical endpoint key) * (#positive directions) + direction.
 # ---------------------------------------------------------------------------
 

@@ -202,6 +202,16 @@ def test_decay_threads_match_serial(tmp_path):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
 
+def test_exact_commands_reject_threads(tmp_path):
+    # the exact commands run serially; accepting the flag would ignore it
+    for command in ("verify-domination", "couple-demo"):
+        out = tmp_path / command
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--threads", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
 def test_cli_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(percolab.__file__))
     proc = subprocess.run(

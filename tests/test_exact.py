@@ -11,10 +11,8 @@ from percolab.exact import (
     certificate_to_json,
     cluster_size_table,
     conditional_measure,
-    conditional_open_prob,
     exact_magnetization,
     exact_psi,
-    fkg_step_check,
     fkg_sweep,
     magnetization_bound,
     magnetization_table,
@@ -26,7 +24,7 @@ from percolab.exact import (
     strassen_dominates,
     verify_certificate,
 )
-from percolab.exploration import CLUSTER_FIRST, ExplorationTrace
+from percolab.exploration import CLUSTER_FIRST, ExplorationTrace, run_exploration
 from percolab.lattices import LatticeSpec, build_ball
 
 
@@ -117,39 +115,71 @@ def test_magnetization_table_matches_pointwise(z1_ball2):
 
 
 def test_conditional_open_prob_product_case(z1_ball2):
+    oracle = make_conditional_oracle(z1_ball2, CLUSTER_FIRST, 0.3, 0.0)
     for trace in (ExplorationTrace(), ExplorationTrace((0,), (1,)),
                   ExplorationTrace((0, 1), (0, 1))):
-        got = conditional_open_prob(z1_ball2, CLUSTER_FIRST, 0.3, 0.0, trace)
-        assert abs(got - 0.3) < 1e-12
+        assert abs(oracle(trace) - 0.3) < 1e-12
 
 
 def test_conditional_open_prob_single_edge(single_edge_ball):
     p, h = 0.6, 0.7
-    got = conditional_open_prob(single_edge_ball, CLUSTER_FIRST, p, h,
-                                ExplorationTrace())
+    got = make_conditional_oracle(single_edge_ball, CLUSTER_FIRST, p, h)(
+        ExplorationTrace())
     expected = (p * math.exp(-2 * h)
                 / ((1 - p) * math.exp(-h) + p * math.exp(-2 * h)))
     assert abs(got - expected) < 1e-14
 
 
 def test_conditional_open_prob_p_one(z1_ball2):
-    got = conditional_open_prob(z1_ball2, CLUSTER_FIRST, 1.0, 0.5,
-                                ExplorationTrace((0,), (1,)))
+    got = make_conditional_oracle(z1_ball2, CLUSTER_FIRST, 1.0, 0.5)(
+        ExplorationTrace((0,), (1,)))
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_open_prob_zero_probability_trace(z1_ball2):
+    oracle = make_conditional_oracle(z1_ball2, CLUSTER_FIRST, 0.0, 0.5)
     with pytest.raises(ValueError):
-        conditional_open_prob(z1_ball2, CLUSTER_FIRST, 0.0, 0.5,
-                              ExplorationTrace((0,), (1,)))
+        oracle(ExplorationTrace((0,), (1,)))
 
 
-def test_oracle_matches_pointwise(z1_ball2):
-    oracle = make_conditional_oracle(z1_ball2, CLUSTER_FIRST, 0.45, 0.6)
-    cond = conditional_measure(z1_ball2, 0.45, 0.6)
-    for trace, _e, _mask in reachable_traces(z1_ball2, CLUSTER_FIRST, cond.weights):
-        direct = conditional_open_prob(z1_ball2, CLUSTER_FIRST, 0.45, 0.6, trace)
-        assert abs(oracle(trace) - direct) < 1e-14
+def test_oracle_rejects_exhausted_and_off_rule_traces(z1_ball2):
+    oracle = make_conditional_oracle(z1_ball2, CLUSTER_FIRST, 0.5, 0.5)
+    with pytest.raises(ValueError, match="exhausted"):
+        oracle(ExplorationTrace((0, 1, 2, 3), (0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="rule"):
+        oracle(ExplorationTrace((1,), (0,)))  # the rule reveals edge 0 first
+
+
+def test_oracle_matches_pointwise(z1_ball2, z2_ball1, tree3_ball1):
+    # P(next edge open | prefix) by summing the conditional weight of every
+    # configuration whose full exploration starts with the prefix
+    p, h = 0.45, 0.6
+    for ball in (z1_ball2, z2_ball1, tree3_ball1):
+        weights = conditional_measure(ball, p, h).weights
+        num, den = {}, {}
+        for c in range(1 << ball.n_edges):
+            config = [(c >> e) & 1 for e in range(ball.n_edges)]
+            trace = run_exploration(ball, CLUSTER_FIRST, config)
+            for k in range(ball.n_edges):
+                key = (trace.order[:k], trace.values[:k])
+                den[key] = den.get(key, 0.0) + weights[c]
+                num[key] = num.get(key, 0.0) + weights[c] * trace.values[k]
+        oracle = make_conditional_oracle(ball, CLUSTER_FIRST, p, h)
+        prefixes = reachable_traces(ball, CLUSTER_FIRST, weights)
+        assert {(t.order, t.values) for t, _e, _mask in prefixes} == set(den)
+        for trace, _e, _mask in prefixes:
+            key = (trace.order, trace.values)
+            assert abs(oracle(trace) - num[key] / den[key]) < 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_reachable_traces_prune_to_one_path(z1_ball2, p):
+    # at p = 0 only the all-closed configuration has weight, at p = 1 only
+    # the all-open one: one prefix of each length 0 .. |E|-1
+    prefixes = reachable_traces(z1_ball2, CLUSTER_FIRST,
+                                product_measure(z1_ball2, p).weights)
+    assert [t.k for t, _e, _mask in prefixes] == list(range(z1_ball2.n_edges))
+    assert all(t.values == (int(p),) * t.k for t, _e, _mask in prefixes)
 
 
 def test_max_conditional_pivotal_h_zero(z1_ball2):
@@ -173,34 +203,41 @@ def test_pivotal_bounded_by_magnetization(z1_ball2, z2_ball1):
                 assert eps <= magnetization_bound(ball, p, h) + 1e-12
 
 
+def _fkg_row(ball, p, h, trace):
+    """The fkg_sweep row at ``trace``, or None when the sweep has none."""
+    for row in fkg_sweep(ball, CLUSTER_FIRST, p, h):
+        if (row["order"], row["values"]) == (trace.order, trace.values):
+            return row
+    return None
+
+
 def test_fkg_step_h_zero(z1_ball1):
-    lhs, rhs = fkg_step_check(z1_ball1, CLUSTER_FIRST, 0.5, 0.0,
-                              ExplorationTrace())
-    assert lhs == 0.0 and rhs == 0.0
+    row = _fkg_row(z1_ball1, 0.5, 0.0, ExplorationTrace())
+    assert row["lhs"] == 0.0 and row["rhs"] == 0.0
 
 
 def test_fkg_step_p_zero(z1_ball1):
     # with every edge closed, B reduces to "the outside endpoint is green",
     # independent of the avoidance conditioning
     h = 0.7
-    lhs, rhs = fkg_step_check(z1_ball1, CLUSTER_FIRST, 0.0, h,
-                              ExplorationTrace())
-    assert abs(lhs - (1 - math.exp(-h))) < 1e-12
-    assert abs(rhs - (1 - math.exp(-h))) < 1e-12
+    row = _fkg_row(z1_ball1, 0.0, h, ExplorationTrace())
+    assert abs(row["lhs"] - (1 - math.exp(-h))) < 1e-12
+    assert abs(row["rhs"] - (1 - math.exp(-h))) < 1e-12
 
 
 def test_fkg_step_strict_inequality(z1_ball1):
-    lhs, rhs = fkg_step_check(z1_ball1, CLUSTER_FIRST, 0.5, 0.5,
-                              ExplorationTrace())
-    assert lhs < rhs - 1e-6
+    row = _fkg_row(z1_ball1, 0.5, 0.5, ExplorationTrace())
+    assert row["lhs"] < row["rhs"] - 1e-6
 
 
 def test_fkg_step_requires_structure(z1_ball2):
     # after both origin edges come up closed, the next edge has no endpoint
-    # in the revealed cluster
+    # in the revealed cluster: the prefix is reachable but gets no row
     trace = ExplorationTrace((0, 1), (0, 0))
-    with pytest.raises(ValueError):
-        fkg_step_check(z1_ball2, CLUSTER_FIRST, 0.5, 0.5, trace)
+    weights = product_measure(z1_ball2, 0.5).weights
+    assert any(t == trace for t, _e, _mask in
+               reachable_traces(z1_ball2, CLUSTER_FIRST, weights))
+    assert _fkg_row(z1_ball2, 0.5, 0.5, trace) is None
 
 
 def test_fkg_sweep_ordered(z2_ball1):
