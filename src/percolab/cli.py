@@ -58,6 +58,9 @@ DEFAULT_H_GRID = "0.1,0.5,1.0"
 # decay fits n = 20, 30, ..., n_max, and decay_fit needs five points.
 DECAY_N_MAX_MIN = 60
 
+# namespace entries that are not flag values
+_NOT_FLAGS = ("command", "func", "config")
+
 
 def _float_list(text):
     text = text.strip()
@@ -102,35 +105,33 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _command(*keys):
+def _command(fn):
     """Subcommand decorator.  The command gets ``out(name)``, the path of an
-    output file under ``--out``; afterwards manifest.json records the
-    resolved ``keys``, timestamps and the SHA-256 of every such file."""
-    def wrap(fn):
-        @functools.wraps(fn)
-        def run(ns):
-            os.makedirs(ns.out, exist_ok=True)
-            args = {k: getattr(ns, k) for k in keys}
-            started = datetime.now(timezone.utc).isoformat()
-            names = []
+    output file under ``--out``; afterwards manifest.json records the parsed
+    flag values, timestamps and the SHA-256 of every such file."""
+    @functools.wraps(fn)
+    def run(ns):
+        os.makedirs(ns.out, exist_ok=True)
+        args = {k: v for k, v in vars(ns).items() if k not in _NOT_FLAGS + ("out",)}
+        started = datetime.now(timezone.utc).isoformat()
+        names = []
 
-            def out(name):
-                names.append(name)
-                return os.path.join(ns.out, name)
+        def out(name):
+            names.append(name)
+            return os.path.join(ns.out, name)
 
-            code = fn(ns, out)
-            _write_json(os.path.join(ns.out, "manifest.json"), {
-                "command": ns.command, "args": args, "seed": args.get("seed"),
-                "version": __version__, "started": started,
-                "finished": datetime.now(timezone.utc).isoformat(),
-                "outputs": {n: _digest(os.path.join(ns.out, n)) for n in names},
-            })
-            return code
-        return run
-    return wrap
+        code = fn(ns, out)
+        _write_json(os.path.join(ns.out, "manifest.json"), {
+            "command": ns.command, "args": args, "seed": args.get("seed"),
+            "version": __version__, "started": started,
+            "finished": datetime.now(timezone.utc).isoformat(),
+            "outputs": {n: _digest(os.path.join(ns.out, n)) for n in names},
+        })
+        return code
+    return run
 
 
-@_command("lattice", "radius", "p", "h", "seed", "q_override")
+@_command
 def cmd_verify_domination(ns, out):
     """Exact certification suite on one small ball over a (p, h) grid."""
     ball = build_ball(LATTICES[ns.lattice], ns.radius)
@@ -176,8 +177,7 @@ def cmd_verify_domination(ns, out):
     return 0 if not failures else 1
 
 
-@_command("lattice", "radius", "mode", "p", "h", "n_max", "samples", "cap",
-          "seed", "threads")
+@_command
 def cmd_verify_tail_bound(ns, out):
     """Tail inequality check: exact on a small ball, or Monte Carlo."""
     spec = LATTICES[ns.lattice]
@@ -218,12 +218,11 @@ def cmd_verify_tail_bound(ns, out):
     return 1 if failed else 0
 
 
-@_command("lattice", "p", "n_max", "samples", "seed", "threads")
+@_command
 def cmd_decay(ns, out):
     """Tail curve plus exponential-decay fit."""
-    p = _float_list(ns.p)[0]
     n_list = list(range(20, ns.n_max + 1, 10))
-    curve = psi_curve(LATTICES[ns.lattice], p, n_list, ns.samples, ns.seed,
+    curve = psi_curve(LATTICES[ns.lattice], ns.p, n_list, ns.samples, ns.seed,
                       threads=ns.threads)
     rows = [[n, curve[n].point, curve[n].lo, curve[n].hi, curve[n].samples]
             for n in n_list]
@@ -231,7 +230,7 @@ def cmd_decay(ns, out):
                ["n", "psi", "lo", "hi", "samples"], rows)
     fit = decay_fit([(n, curve[n]) for n in n_list])
     _write_json(out("decay_fit.json"), {
-        "p": p, "rate": fit.rate, "prefactor": fit.prefactor,
+        "p": ns.p, "rate": fit.rate, "prefactor": fit.prefactor,
         "r_squared": fit.r_squared, "rate_se": fit.rate_se,
         "rate_lo": fit.rate_lo, "rate_hi": fit.rate_hi,
         "points_used": fit.points_used,
@@ -239,11 +238,10 @@ def cmd_decay(ns, out):
     return 0
 
 
-@_command("lattice", "p", "h", "cap", "samples", "seed", "threads")
+@_command
 def cmd_meanfield(ns, out):
     """Reduced-parameter check against the square lattice threshold."""
-    h = _float_list(ns.h)[0]
-    rows = meanfield_verdict(LATTICES[ns.lattice], _float_list(ns.p), h, ns.cap,
+    rows = meanfield_verdict(LATTICES[ns.lattice], _float_list(ns.p), ns.h, ns.cap,
                              ns.samples, ns.seed, threads=ns.threads)
     table = [[r["p"], r["m_lo"], r["m_hi"], r["q_upper"], r["q_lower"],
               r["truncated_fraction"], r["verdict"]] for r in rows]
@@ -253,12 +251,11 @@ def cmd_meanfield(ns, out):
     return 1 if any(r["verdict"] == "FAIL" for r in rows) else 0
 
 
-@_command("lattice", "radius", "p", "h", "seed", "q_override")
+@_command
 def cmd_couple_demo(ns, out):
     """One audited coupled run with the exact conditional oracle."""
     ball = build_ball(LATTICES[ns.lattice], ns.radius)
-    p = _float_list(ns.p)[0]
-    h = _float_list(ns.h)[0]
+    p, h = ns.p, ns.h
     m = exact_magnetization(ball, p, h)
     q = ns.q_override if ns.q_override is not None else p * (1.0 - m)
     oracle = make_conditional_oracle(ball, CLUSTER_FIRST, p, h)
@@ -313,7 +310,7 @@ def build_parser():
 
     s = _add_command(subs, "decay", cmd_decay, "tail curve and exponential fit",
                      threads=True)
-    s.add_argument("--p", default="0.4")
+    s.add_argument("--p", type=float, default=0.4)
     s.add_argument("--n-max", dest="n_max", type=_decay_n_max, default=120)
     s.add_argument("--samples", type=int, default=100_000)
 
@@ -321,14 +318,14 @@ def build_parser():
                      "reduced parameter vs the square-lattice threshold",
                      threads=True)
     s.add_argument("--p", default="0.55,0.6,0.7,0.8,0.9,1.0")
-    s.add_argument("--h", default="0.05")
+    s.add_argument("--h", type=float, default=0.05)
     s.add_argument("--cap", type=int, default=100_000)
     s.add_argument("--samples", type=int, default=2_000)
 
     s = _add_command(subs, "couple-demo", cmd_couple_demo, "audit one coupled run")
     s.add_argument("--radius", type=int, default=1)
-    s.add_argument("--p", default="0.5")
-    s.add_argument("--h", default="0.5")
+    s.add_argument("--p", type=float, default=0.5)
+    s.add_argument("--h", type=float, default=0.5)
     s.add_argument("--q-override", dest="q_override", type=float, default=None)
 
     return parser
@@ -351,6 +348,17 @@ def _config_tokens(path, own):
     return tokens
 
 
+def _ignored_value(ns):
+    """The verify-tail-bound flag value its mode would silently ignore, if any."""
+    if ns.command != "verify-tail-bound":
+        return None
+    if ns.mode == "exact" and ns.threads != 1:
+        return "--threads applies to --mode mc only"
+    if ns.mode == "mc" and not len(_float_list(ns.p)) == len(_float_list(ns.h)) == 1:
+        return "--mode mc takes a single --p and a single --h value"
+    return None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -358,8 +366,11 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if ns.config:
             # config values go first, so flags given on the command line win
-            own = set(vars(ns)) - {"command", "func", "config"}
+            own = set(vars(ns)) - set(_NOT_FLAGS)
             ns = parser.parse_args(argv[:1] + _config_tokens(ns.config, own) + argv[1:])
+        ignored = _ignored_value(ns)
+        if ignored:
+            parser.error(f"{ns.command}: {ignored}")
         return ns.func(ns)
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

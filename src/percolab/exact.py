@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .exploration import ExplorationTrace, revealed_open_cluster
+from .exploration import ExplorationTrace
 from .lattices import GraphBall
 
 MEASURE_CAP = 20    # 2^E weight vectors
 FLOW_CAP = 12       # ordered-pair flow networks
 TRACE_CAP = 10      # trace-indexed enumerations
 FLOW_TOL = 1e-9     # feasibility tolerance on max-flow values
+FLOW_EPS = 1e-15    # residual capacity below which Dinic treats an edge as full
+CERT_TOL = 1e-8     # marginal tolerance when re-checking a coupling
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,13 @@ def _edge_bits(n_edges):
     for e in range(n_edges):
         bits[e] = (idx >> e) & 1
     return bits
+
+
+def _flips(n_edges):
+    """Int (E, 2^E) table: row e maps each configuration to the one with edge
+    e flipped; with ``_edge_bits``, the one way to step between neighbours."""
+    idx = np.arange(1 << n_edges, dtype=np.int64)
+    return idx ^ (np.int64(1) << np.arange(n_edges, dtype=np.int64))[:, None]
 
 
 def conditional_measure(ball: GraphBall, p: float, h: float) -> ExplicitMeasure:
@@ -252,20 +261,12 @@ def max_conditional_pivotal(ball: GraphBall, rule, p: float, h: float) -> float:
     E = ball.n_edges
     prod = product_measure(ball, p).weights
     sizes = cluster_size_table(ball)
-    idx = np.arange(1 << E, dtype=np.int64)
-    bits = _edge_bits(E)
     avoid_w = prod * np.exp(-h * sizes)
 
-    # Pivotal-and-avoid weight of configuration c with next edge e: zero when
-    # e is open in c; otherwise the edge flip grows the cluster by d vertices
-    # and contributes mu(c) e^{-h s-} (1 - e^{-h d}).
-    piv_w = []
-    for e in range(E):
-        s_minus = sizes[np.asarray(idx & ~np.int64(1 << e), dtype=np.int64)]
-        s_plus = sizes[np.asarray(idx | np.int64(1 << e), dtype=np.int64)]
-        w = prod * np.exp(-h * s_minus) * -np.expm1(-h * (s_plus - s_minus))
-        w[bits[e]] = 0.0
-        piv_w.append(w)
+    # Pivotal-and-avoid weight of c with next edge e: zero when e is open in
+    # c, else mu(c) e^{-h |C|} (1 - e^{-h d}) when opening e adds d vertices.
+    piv_w = [np.where(bit, 0.0, avoid_w * -np.expm1(-h * (sizes[flip] - sizes)))
+             for bit, flip in zip(_edge_bits(E), _flips(E))]
 
     best = 0.0
     for trace, e, mask in reachable_traces(ball, rule, avoid_w):
@@ -285,16 +286,17 @@ def fkg_sweep(ball: GraphBall, rule, p: float, h: float) -> list:
     positive association of the product law forces lhs <= rhs.
     """
     prod = product_measure(ball, p).weights
-    members = cluster_members_table(ball)
     labels = _cluster_labels(ball)
+    members = labels == labels[:, [ball.origin]]
     avoid = prod * np.exp(-h * members.sum(axis=1))
     rows = []
     for trace, e, mask in reachable_traces(ball, rule, avoid):
         i, j = ball.edges[e]
-        cluster = revealed_open_cluster(ball, trace)
-        if (i in cluster) == (j in cluster):
+        # the revealed cluster is the origin's in the revealed-open configuration
+        cluster = members[sum(1 << k for k, x in zip(trace.order, trace.values) if x)]
+        if cluster[i] == cluster[j]:
             continue
-        w = j if i in cluster else i
+        w = j if cluster[i] else i
         excluded = sum(1 << k for k in trace.order) | (1 << e)
         configs = np.nonzero(mask)[0]
         # Closing the excluded edges leaves w's cluster as the reachable set.
@@ -326,14 +328,17 @@ class _Dinic:
         self.head = [[] for _ in range(n)]
 
     def add_edge(self, u, v, c):
-        self.head[u].append(len(self.to))
+        """Add u -> v with capacity c; returns its id (the reverse is id ^ 1)."""
+        eid = len(self.to)
+        self.head[u].append(eid)
         self.to.append(v)
         self.cap.append(c)
-        self.head[v].append(len(self.to))
+        self.head[v].append(eid + 1)
         self.to.append(u)
         self.cap.append(0.0)
+        return eid
 
-    def max_flow(self, s, t, eps=1e-15):
+    def max_flow(self, s, t):
         """(max flow, BFS levels); vertices with a level >= 0 are those the
         source reaches in the final residual graph, the source side of a
         minimum cut."""
@@ -342,13 +347,10 @@ class _Dinic:
             level = [-1] * self.n
             level[s] = 0
             queue = [s]
-            qi = 0
-            while qi < len(queue):
-                u = queue[qi]
-                qi += 1
+            for u in queue:  # appended to while it is walked, so a FIFO queue
                 for eid in self.head[u]:
                     v = self.to[eid]
-                    if self.cap[eid] > eps and level[v] < 0:
+                    if self.cap[eid] > FLOW_EPS and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
@@ -361,9 +363,9 @@ class _Dinic:
                 while it[u] < len(self.head[u]):
                     eid = self.head[u][it[u]]
                     v = self.to[eid]
-                    if self.cap[eid] > eps and level[v] == level[u] + 1:
+                    if self.cap[eid] > FLOW_EPS and level[v] == level[u] + 1:
                         pushed = dfs(v, min(limit, self.cap[eid]))
-                        if pushed > eps:
+                        if pushed > FLOW_EPS:
                             self.cap[eid] -= pushed
                             self.cap[eid ^ 1] += pushed
                             return pushed
@@ -372,7 +374,7 @@ class _Dinic:
 
             while True:
                 pushed = dfs(s, float("inf"))
-                if pushed <= eps:
+                if pushed <= FLOW_EPS:
                     break
                 flow += pushed
 
@@ -382,9 +384,7 @@ def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCe
     if mu.n_edges != nu.n_edges:
         raise ValueError("measures live on different edge sets")
     E = mu.n_edges
-    if E > FLOW_CAP:
-        raise CapExceeded(f"flow certification limited to {FLOW_CAP} edges, got {E}")
-    full = (1 << E) - 1
+    _check_measure_cap(E, FLOW_CAP, "flow certification")
     xs = [int(c) for c in np.nonzero(mu.weights > 0)[0]]
     ys = [int(c) for c in np.nonzero(nu.weights > 0)[0]]
     x_id = {c: 1 + i for i, c in enumerate(xs)}
@@ -395,34 +395,24 @@ def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCe
         net.add_edge(src, x_id[c], float(mu.weights[c]))
     for c in ys:
         net.add_edge(y_id[c], sink, float(nu.weights[c]))
+    configs = np.arange(1 << E)
     nu_pos = nu.weights > 0
+    # per x: every y >= x with nu(y) > 0 and its edge id; adding the largest y
+    # first fixes which of the maximum flows, and so which coupling, is found
+    pairs = []
     for x in xs:
-        rem = full ^ x
-        sub = rem
-        while True:
-            y = x | sub
-            if nu_pos[y]:
-                net.add_edge(x_id[x], y_id[y], 2.0)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rem
+        above = configs[((configs & x) == x) & nu_pos][::-1]
+        pairs.append((x, above, [net.add_edge(x_id[x], y_id[y], 2.0)
+                                 for y in above.tolist()]))
     flow, level = net.max_flow(src, sink)
     if flow >= 1.0 - FLOW_TOL:
-        coupling = {}
-        for c in xs:
-            u = x_id[c]
-            for eid in net.head[u]:
-                v = net.to[eid]
-                # forward pair edges had capacity 2; shipped amount is 2 - cap
-                if v != src and eid % 2 == 0 and v != sink:
-                    shipped = 2.0 - net.cap[eid]
-                    if shipped > 1e-12:
-                        coupling[(c, ys[v - 1 - len(xs)])] = shipped
+        # pair edges had capacity 2; the shipped amount is 2 - residual
+        coupling = {(x, y): 2.0 - net.cap[eid] for x, above, eids in pairs
+                    for y, eid in zip(above.tolist(), eids) if 2.0 - net.cap[eid] > 1e-12}
         return DominationCertificate(True, flow, E, coupling=coupling)
-    seeds = [c for c in xs if level[x_id[c]] >= 0]
-    event = np.zeros(1 << E, dtype=bool)
-    event[seeds] = True
-    event = _up_closure(event, E)
+    seeds = np.zeros(1 << E, dtype=bool)
+    seeds[[c for c in xs if level[x_id[c]] >= 0]] = True
+    event = _up_closure(seeds, E)
     gap = float(mu.weights[event].sum() - nu.weights[event].sum())
     return DominationCertificate(False, flow, E, event_mask=event, gap=gap)
 
@@ -430,14 +420,13 @@ def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCe
 def _up_closure(indicator: np.ndarray, n_edges: int) -> np.ndarray:
     """Smallest increasing event containing the marked configurations."""
     event = indicator.copy()
-    for e, bit in enumerate(_edge_bits(n_edges)):
-        clear = np.nonzero(~bit)[0]
-        event[clear + (1 << e)] |= event[clear]
+    for bit, flip in zip(_edge_bits(n_edges), _flips(n_edges)):
+        event |= bit & event[flip]
     return event
 
 
 def verify_certificate(cert: DominationCertificate, mu: ExplicitMeasure,
-                       nu: ExplicitMeasure, tol: float = 1e-8) -> bool:
+                       nu: ExplicitMeasure) -> bool:
     """Re-check a certificate from scratch, without trusting the flow solver."""
     if cert.dominates:
         row = np.zeros(1 << cert.n_edges)
@@ -447,14 +436,11 @@ def verify_certificate(cert: DominationCertificate, mu: ExplicitMeasure,
                 return False
             row[x] += wgt
             col[y] += wgt
-        return bool(np.abs(row - mu.weights).max() <= tol
-                    and np.abs(col - nu.weights).max() <= tol)
+        return bool(np.abs(row - mu.weights).max() <= CERT_TOL
+                    and np.abs(col - nu.weights).max() <= CERT_TOL)
     event = cert.event_mask
-    idx = np.arange(1 << cert.n_edges, dtype=np.int64)
-    for e in range(cert.n_edges):
-        up = np.asarray(idx | np.int64(1 << e), dtype=np.int64)
-        if np.any(event & ~event[up]):
-            return False  # not an increasing event
+    if not np.array_equal(_up_closure(event, cert.n_edges), event):
+        return False  # not an increasing event
     gap = float(mu.weights[event].sum() - nu.weights[event].sum())
     return bool(gap >= cert.gap - 1e-12 and gap > 0.0)
 
@@ -473,9 +459,8 @@ def certificate_to_json(cert: DominationCertificate) -> dict:
 
 
 def _minimal_elements(mask, n_edges):
-    mins = []
-    for c in np.nonzero(mask)[0]:
-        c = int(c)
-        if all(not mask[c & ~(1 << e)] for e in range(n_edges) if (c >> e) & 1):
-            mins.append(c)
-    return mins
+    """The event's configurations with no neighbour below them in it, ascending."""
+    minimal = mask.copy()
+    for bit, flip in zip(_edge_bits(n_edges), _flips(n_edges)):
+        minimal &= ~(bit & mask[flip])
+    return np.nonzero(minimal)[0].tolist()

@@ -117,7 +117,6 @@ class GraphBall:
         self.edges = list(edges)
         self.distance = list(distance)
         self.origin = 0
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         incidence = [[] for _ in self.vertices]
         for e, (i, j) in enumerate(self.edges):
             incidence[i].append((e, j))

@@ -204,12 +204,46 @@ def test_decay_threads_match_serial(tmp_path):
 
 def test_exact_commands_reject_threads(tmp_path):
     # the exact commands run serially; accepting the flag would ignore it
-    for command in ("verify-domination", "couple-demo"):
+    # (verify-tail-bound runs in exact mode by default)
+    for command in ("verify-domination", "couple-demo", "verify-tail-bound"):
         out = tmp_path / command
         with pytest.raises(SystemExit) as exc:
             main([command, "--threads", "2", "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--p", "0.3,0.4"],
+    ["meanfield", "--h", "0.05,0.1"],
+    ["couple-demo", "--p", "0.3,0.4"],
+    ["couple-demo", "--h", "0.5,1.0"],
+    ["verify-tail-bound", "--mode", "mc", "--p", "0.3,0.4"],
+    ["verify-tail-bound", "--mode", "mc", "--h", "0.2,0.3"],
+])
+def test_single_value_flags_reject_lists(tmp_path, argv):
+    # each of these runs at one value; a list used to run only its first
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_manifest_args_are_the_parsed_flags(tmp_path):
+    out = tmp_path / "demo"
+    assert main(["couple-demo", "--lattice", "z1", "--radius", "1",
+                 "--p", "0.6", "--out", str(out)]) == 0
+    args = _read_json(out / "manifest.json")["args"]
+    assert args == {"lattice": "z1", "radius": 1, "p": 0.6, "h": 0.5,
+                    "seed": 0, "q_override": None}
+    # a manifest written before --p and --h were scalars still replays
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"args": {**args, "p": "0.6", "h": "0.5"}}))
+    rerun = tmp_path / "rerun"
+    assert main(["couple-demo", "--config", str(old), "--out", str(rerun)]) == 0
+    assert ((out / "couple_demo.json").read_bytes()
+            == (rerun / "couple_demo.json").read_bytes())
 
 
 def test_cli_import_does_not_load_scipy():

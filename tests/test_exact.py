@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,12 @@ from percolab.exact import (
     strassen_dominates,
     verify_certificate,
 )
-from percolab.exploration import CLUSTER_FIRST, ExplorationTrace, run_exploration
+from percolab.exploration import (
+    CLUSTER_FIRST,
+    ExplorationTrace,
+    pivotal_ghost_weight,
+    run_exploration,
+)
 from percolab.lattices import LatticeSpec, build_ball
 
 
@@ -203,6 +209,30 @@ def test_pivotal_bounded_by_magnetization(z1_ball2, z2_ball1):
                 assert eps <= magnetization_bound(ball, p, h) + 1e-12
 
 
+@pytest.mark.parametrize("ball_name", ["z1_ball2", "z2_ball1", "tree3_ball1"])
+def test_max_conditional_pivotal_matches_brute_force(ball_name, request):
+    # P(next edge pivotal and avoidance | prefix) / P(avoidance | prefix),
+    # summed configuration by configuration over each prefix's cylinder; the
+    # pair of events needs the next edge closed, since C- is inside C+
+    ball = request.getfixturevalue(ball_name)
+    E = ball.n_edges
+    for p, h in ((0.2, 0.1), (0.5, 0.5), (0.8, 1.0)):
+        prod = product_measure(ball, p).weights
+        avoid = prod * np.exp(-h * cluster_size_table(ball))
+        num, den = {}, {}
+        for c in range(1 << E):
+            config = np.array([(c >> e) & 1 for e in range(E)], dtype=np.uint8)
+            trace = run_exploration(ball, CLUSTER_FIRST, config)
+            for k, e in enumerate(trace.order):
+                key = (trace.order[:k], trace.values[:k])
+                piv = pivotal_ghost_weight(ball, config, e, h) * (1 - config[e])
+                num[key] = num.get(key, 0.0) + prod[c] * piv
+                den[key] = den.get(key, 0.0) + avoid[c]
+        brute = max(num[key] / den[key] for key in den if den[key] > 0)
+        got = max_conditional_pivotal(ball, CLUSTER_FIRST, p, h)
+        assert abs(got - brute) < 1e-15
+
+
 def _fkg_row(ball, p, h, trace):
     """The fkg_sweep row at ``trace``, or None when the sweep has none."""
     for row in fkg_sweep(ball, CLUSTER_FIRST, p, h):
@@ -321,3 +351,55 @@ def test_trace_enumeration_cap():
     with pytest.raises(CapExceeded):
         list(reachable_traces(ball, CLUSTER_FIRST,
                               np.ones(1 << 12) / (1 << 12)))
+
+
+def _failure_witness(ball):
+    # q = 0.99 is far above the conditional law at p = h = 0.5
+    cond = conditional_measure(ball, 0.5, 0.5)
+    prod = product_measure(ball, 0.99)
+    cert = strassen_dominates(prod, cond)
+    assert not cert.dominates
+    return cert, prod, cond
+
+
+@pytest.mark.parametrize("ball_name", ["z1_ball2", "tree3_ball1"])
+def test_failure_witness_matches_brute_force(ball_name, request):
+    cert, prod, cond = _failure_witness(request.getfixturevalue(ball_name))
+    event = cert.event_mask
+    configs = range(1 << cert.n_edges)
+    minimal = [c for c in configs if event[c] and not any(
+        event[d] for d in configs if d & c == d and d != c)]
+    assert certificate_to_json(cert)["event_min_elements"] == minimal
+    closure = [any(c & m == m for m in minimal) for c in configs]
+    assert event.tolist() == closure
+    assert verify_certificate(cert, prod, cond)
+
+
+def test_verify_certificate_rejects_bad_failure_witnesses(tree3_ball1):
+    cert, prod, cond = _failure_witness(tree3_ball1)
+    assert verify_certificate(cert, prod, cond)
+    overstated = dataclasses.replace(cert, gap=cert.gap + 0.01)
+    assert not verify_certificate(overstated, prod, cond)
+    # {edge e closed} has lo - hi = 0.5 > gap but decreases along edge e, so
+    # only the increasing-event check, made along every edge, rejects it
+    hi = product_measure(tree3_ball1, 0.7)
+    lo = product_measure(tree3_ball1, 0.2)
+    cert = strassen_dominates(hi, lo)
+    for e in range(tree3_ball1.n_edges):
+        closed = (np.arange(1 << tree3_ball1.n_edges) >> e) & 1 == 0
+        decreasing = dataclasses.replace(cert, event_mask=closed, gap=0.4)
+        assert not verify_certificate(decreasing, lo, hi)
+
+
+def test_verify_certificate_rejects_bad_couplings(tree3_ball1, z1_ball1):
+    lo = product_measure(tree3_ball1, 0.4)
+    hi = product_measure(tree3_ball1, 0.6)
+    cert = strassen_dominates(lo, hi)
+    assert verify_certificate(cert, lo, hi)
+    assert not verify_certificate(cert, lo, lo)  # wrong second marginal
+    assert not verify_certificate(cert, hi, hi)  # wrong first marginal
+    # right marginals, but the pairs (1, 2) and (2, 1) are not ordered
+    mu = product_measure(z1_ball1, 0.5)
+    unordered = {(0, 0): 0.25, (1, 2): 0.25, (2, 1): 0.25, (3, 3): 0.25}
+    swapped = dataclasses.replace(strassen_dominates(mu, mu), coupling=unordered)
+    assert not verify_certificate(swapped, mu, mu)

@@ -117,7 +117,7 @@ def test_pivotal_trivial_cases(z1_ball1):
 def test_pivotal_green_neighbor(z1_ball1):
     # green exactly at +1: the edge to +1 is pivotal whatever the other edge
     ghost = np.zeros(3, dtype=np.uint8)
-    ghost[z1_ball1.vertex_index[(1,)]] = 1
+    ghost[z1_ball1.vertices.index((1,))] = 1
     e = _edge_index(z1_ball1, (0,), (1,))
     for other_state in (0, 1):
         config = np.full(2, other_state, dtype=np.uint8)
