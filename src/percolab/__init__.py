@@ -41,7 +41,6 @@ from .exact import (
     ExplicitMeasure,
     conditional_measure,
     exact_magnetization,
-    exact_psi,
     magnetization_bound,
     make_conditional_oracle,
     max_conditional_pivotal,

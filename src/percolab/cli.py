@@ -33,7 +33,6 @@ from .exact import (
     exact_magnetization,
     fkg_sweep,
     magnetization_bound,
-    magnetization_table,
     make_conditional_oracle,
     max_conditional_pivotal,
     product_measure,
@@ -145,8 +144,9 @@ def cmd_verify_domination(ns, out):
             oracle = make_conditional_oracle(ball, CLUSTER_FIRST, p, h)
             margin = domination_margin(ball, CLUSTER_FIRST, oracle, cond)
             q = ns.q_override if ns.q_override is not None else p * (1.0 - eps)
-            cert = strassen_dominates(product_measure(ball, q), cond)
-            cert_ok = cert.dominates and verify_certificate(cert, product_measure(ball, q), cond)
+            mu = product_measure(ball, q)
+            cert = strassen_dominates(mu, cond)
+            cert_ok = cert.dominates and verify_certificate(cert, mu, cond)
             fkg_rows = fkg_sweep(ball, CLUSTER_FIRST, p, h)
             fkg_ok = all(r["lhs"] <= r["rhs"] + 1e-12 for r in fkg_rows)
             margin_ok = margin >= p * (1.0 - eps) - 1e-12
@@ -185,24 +185,24 @@ def cmd_verify_tail_bound(ns, out):
     failed = False
     if ns.mode == "exact":
         ball = build_ball(spec, ns.radius)
-        p_grid = _float_list(ns.p)
         h_grid = _float_list(ns.h)
-        for p in p_grid:
+        psi = [(p, psi_table(ball, p)) for p in _float_list(ns.p)]
+        mags = []
+        for p, psi_p in psi:
             for h in h_grid:
                 m = exact_magnetization(ball, p, h)
+                mags.append((p, h, m))
                 q = p * (1.0 - m)
-                for (n, lhs), (_, psi_p) in zip(psi_table(ball, q), psi_table(ball, p)):
-                    rhs = psi_p * math.exp(-h * n) / (1.0 - m)
+                for (n, lhs), (_, at_p) in zip(psi_table(ball, q), psi_p):
+                    rhs = at_p * math.exp(-h * n) / (1.0 - m)
                     slack = rhs - lhs
                     ok = lhs <= rhs + 1e-12
                     failed = failed or not ok
                     rows.append([p, h, n, lhs, rhs, slack, "PASS" if ok else "FAIL"])
         header = ["p", "h", "n", "lhs", "rhs", "slack", "verdict"]
         _write_csv(out("psi_exact.csv"), ["p", "n", "psi"],
-                   [[p, n, value] for p in p_grid
-                    for n, value in psi_table(ball, p)])
-        _write_csv(out("magnetization_exact.csv"), ["p", "h", "m"],
-                   magnetization_table(ball, p_grid, h_grid))
+                   [[p, n, value] for p, table in psi for n, value in table])
+        _write_csv(out("magnetization_exact.csv"), ["p", "h", "m"], mags)
     else:
         p = _float_list(ns.p)[0]
         h = _float_list(ns.h)[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import ExplicitMeasure, reachable_traces
+from .exact import ExplicitMeasure, _exploration_tree, reachable_traces
 from .exploration import ExplorationTrace
 from .lattices import GraphBall
 from .streams import stream
@@ -56,18 +56,24 @@ def couple_sequential(ball: GraphBall, rule, q: float, oracle,
 
     ``oracle`` maps a trace to the target's conditional probability that the
     next revealed edge is open; values outside [0, 1] abort with ValueError.
+    The walk follows the ball's exploration tree, so it shares the tree's
+    trace cap.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     E = ball.n_edges
+    tree = _exploration_tree(ball, rule)
     uniforms = stream(rng_seed, EXP_COUPLE).random(E)
     lower = np.zeros(E, dtype=np.uint8)
     upper = np.zeros(E, dtype=np.uint8)
     trace = ExplorationTrace()
     step_probs = []
     violations = []
+    node = 0
     for k in range(E):
-        e = rule.next_edge(ball, trace)
+        # the tree is a preorder with the closed branch first: from a node at
+        # depth k, the closed child is next and the open child 2^(E-k-1) on
+        trace, e, _mask = tree[node]
         pr = float(oracle(trace))
         if not 0.0 <= pr <= 1.0:
             raise ValueError(f"oracle returned {pr!r} outside [0, 1] at step {k}")
@@ -79,6 +85,8 @@ def couple_sequential(ball: GraphBall, rule, q: float, oracle,
         step_probs.append(pr)
         if lo and not up:
             violations.append(StepViolation(k, e, pr, q, u))
+        node += 1 << (E - k - 1) if up else 1
+    if E:
         trace = trace.extend(e, up)
     return CoupledPair(lower, upper, uniforms, trace, tuple(step_probs),
                        tuple(violations))

@@ -92,16 +92,29 @@ def _cluster_labels(ball: GraphBall) -> np.ndarray:
     return labels
 
 
-def cluster_size_table(ball: GraphBall) -> np.ndarray:
-    """|origin cluster| for every configuration integer."""
+@functools.lru_cache(maxsize=8)
+def _ball_tables(ball: GraphBall) -> tuple:
+    """(labels, members, sizes): ``_cluster_labels``, bool (2^E, V) origin
+    membership and int32 (2^E,) origin-cluster sizes.  They depend only on
+    the ball, so like the exploration tree they are built once per ball and
+    shared read-only by every (p, h)."""
     labels = _cluster_labels(ball)
-    return (labels == labels[:, [ball.origin]]).sum(axis=1, dtype=np.int32)
+    members = labels == labels[:, [ball.origin]]
+    sizes = members.sum(axis=1, dtype=np.int32)
+    for table in (labels, members, sizes):
+        table.flags.writeable = False
+    return labels, members, sizes
+
+
+def cluster_size_table(ball: GraphBall) -> np.ndarray:
+    """|origin cluster| for every configuration integer (read-only)."""
+    return _ball_tables(ball)[2]
 
 
 def cluster_members_table(ball: GraphBall) -> np.ndarray:
-    """Origin-cluster membership, bool (2^E, V), for every configuration."""
-    labels = _cluster_labels(ball)
-    return labels == labels[:, [ball.origin]]
+    """Origin-cluster membership, bool (2^E, V), for every configuration
+    (read-only)."""
+    return _ball_tables(ball)[1]
 
 
 def product_measure(ball: GraphBall, p: float) -> ExplicitMeasure:
@@ -131,17 +144,22 @@ def _flips(n_edges):
     return idx ^ (np.int64(1) << np.arange(n_edges, dtype=np.int64))[:, None]
 
 
+def _avoidance_weights(ball: GraphBall, p: float, h: float) -> tuple:
+    """(prod, avoid): the product weights at p, and prod * e^{-h |C_o|}, the
+    unnormalized law of the edges on the avoidance event."""
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    prod = product_measure(ball, p).weights
+    return prod, prod * np.exp(-h * cluster_size_table(ball))
+
+
 def conditional_measure(ball: GraphBall, p: float, h: float) -> ExplicitMeasure:
     """Edge-marginal law conditioned on the avoidance event.
 
     Weights are proportional to the product weight times e^{-h |C_o|}; the
     normalizer equals one minus the magnetization of this ball.
     """
-    prod = product_measure(ball, p)
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    sizes = cluster_size_table(ball)
-    w = prod.weights * np.exp(-h * sizes)
+    _, w = _avoidance_weights(ball, p, h)
     z = float(w.sum())
     if z <= 0.0:
         raise ValueError("avoidance event has zero probability")
@@ -163,7 +181,7 @@ def magnetization_bound(ball: GraphBall, p: float, h: float) -> float:
     vertex reaches a green vertex, revealed edges removed or not.
     """
     prod = product_measure(ball, p)
-    labels = _cluster_labels(ball)
+    labels = _ball_tables(ball)[0]
     # |cluster(v)| per (configuration, vertex): count the labels of each row
     flat = labels + labels.shape[1] * np.arange(len(labels), dtype=np.int64)[:, None]
     sizes = np.bincount(flat.ravel(), minlength=labels.size)[flat]
@@ -171,25 +189,13 @@ def magnetization_bound(ball: GraphBall, p: float, h: float) -> float:
     return float(per_vertex.max())
 
 
-def exact_psi(ball: GraphBall, p: float, n: int) -> float:
-    """Probability that the origin cluster has at least n vertices."""
-    prod = product_measure(ball, p)
-    sizes = cluster_size_table(ball)
-    return float(prod.weights[sizes >= n].sum())
-
-
 def psi_table(ball: GraphBall, p: float) -> list:
-    """Exact (n, psi_n) rows for n = 0 .. |V|."""
+    """Exact (n, psi_n) rows for n = 0 .. |V|: psi_n is the probability that
+    the origin cluster has at least n vertices."""
     prod = product_measure(ball, p)
     sizes = cluster_size_table(ball)
     return [(n, float(prod.weights[sizes >= n].sum()))
             for n in range(ball.n_vertices + 1)]
-
-
-def magnetization_table(ball: GraphBall, p_list, h_list) -> list:
-    """Exact (p, h, m) rows over a parameter grid."""
-    return [(p, h, exact_magnetization(ball, p, h))
-            for p in p_list for h in h_list]
 
 
 @functools.lru_cache(maxsize=8)
@@ -257,11 +263,11 @@ def max_conditional_pivotal(ball: GraphBall, rule, p: float, h: float) -> float:
     P(next edge pivotal for avoidance | avoidance and the prefix) exactly,
     ghost integrated analytically, and returns the maximum.
     """
-    _check_measure_cap(ball.n_edges, TRACE_CAP, "trace-indexed quantities")
     E = ball.n_edges
-    prod = product_measure(ball, p).weights
+    _, avoid_w = _avoidance_weights(ball, p, h)
     sizes = cluster_size_table(ball)
-    avoid_w = prod * np.exp(-h * sizes)
+    # the tree enforces the trace cap before the (E, 2^E) tables below
+    prefixes = reachable_traces(ball, rule, avoid_w)
 
     # Pivotal-and-avoid weight of c with next edge e: zero when e is open in
     # c, else mu(c) e^{-h |C|} (1 - e^{-h d}) when opening e adds d vertices.
@@ -269,7 +275,7 @@ def max_conditional_pivotal(ball: GraphBall, rule, p: float, h: float) -> float:
              for bit, flip in zip(_edge_bits(E), _flips(E))]
 
     best = 0.0
-    for trace, e, mask in reachable_traces(ball, rule, avoid_w):
+    for trace, e, mask in prefixes:
         num = float(piv_w[e][mask].sum())
         best = max(best, num / float(avoid_w[mask].sum()))
     return best
@@ -285,10 +291,8 @@ def fkg_sweep(ball: GraphBall, rule, p: float, h: float) -> list:
     prefix, the edge, lhs = P(B | avoidance, prefix) and rhs = P(B | prefix);
     positive association of the product law forces lhs <= rhs.
     """
-    prod = product_measure(ball, p).weights
-    labels = _cluster_labels(ball)
-    members = labels == labels[:, [ball.origin]]
-    avoid = prod * np.exp(-h * members.sum(axis=1))
+    prod, avoid = _avoidance_weights(ball, p, h)
+    labels, members, _ = _ball_tables(ball)
     rows = []
     for trace, e, mask in reachable_traces(ball, rule, avoid):
         i, j = ball.edges[e]

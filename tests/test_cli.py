@@ -6,7 +6,10 @@ import sys
 import pytest
 
 import percolab
-from percolab.cli import main
+import percolab.exact
+from percolab.cli import LATTICES, main
+from percolab.exact import exact_magnetization, psi_table
+from percolab.lattices import build_ball
 
 
 def _read_json(path):
@@ -49,19 +52,25 @@ def test_q_override_produces_failure_witness(tmp_path):
 
 
 def test_verify_tail_bound_exact(tmp_path):
+    # a repeated grid value keeps its place and its rows
     out = tmp_path / "tail"
     code = main(["verify-tail-bound", "--mode", "exact", "--lattice", "z1",
-                 "--radius", "2", "--out", str(out)])
+                 "--radius", "2", "--p", "0.8,0.2,0.8", "--out", str(out)])
     assert code == 0
     rows = (out / "tail_bound.csv").read_text().splitlines()
     assert rows[0] == "p,h,n,lhs,rhs,slack,verdict"
     assert all(line.endswith("PASS") for line in rows[1:])
+    ball = build_ball(LATTICES["z1"], 2)
+    grid = [(p, h) for p in (0.8, 0.2, 0.8) for h in (0.1, 0.5, 1.0)]
+    assert [tuple(map(float, line.split(",")[:2])) for line in rows[1::6]] == grid
     psi_rows = (out / "psi_exact.csv").read_text().splitlines()
     assert psi_rows[0] == "p,n,psi"
-    assert len(psi_rows) == 1 + 3 * 6  # 3 p values, n = 0..5
+    assert psi_rows[1:] == [f"{p:.12g},{n},{psi:.12g}" for p in (0.8, 0.2, 0.8)
+                            for n, psi in psi_table(ball, p)]  # n = 0..5
     mag_rows = (out / "magnetization_exact.csv").read_text().splitlines()
     assert mag_rows[0] == "p,h,m"
-    assert len(mag_rows) == 1 + 9
+    assert mag_rows[1:] == [f"{p:.12g},{h:.12g},{exact_magnetization(ball, p, h):.12g}"
+                            for p, h in grid]
 
 
 def test_verify_tail_bound_mc(tmp_path):
@@ -211,6 +220,20 @@ def test_exact_commands_reject_threads(tmp_path):
             main([command, "--threads", "2", "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+def test_verify_domination_labels_each_configuration_once(tmp_path, monkeypatch):
+    calls = []
+    labels = percolab.exact._cluster_labels
+
+    def counted(ball):
+        calls.append(ball)
+        return labels(ball)
+
+    monkeypatch.setattr(percolab.exact, "_cluster_labels", counted)
+    assert main(["verify-domination", "--lattice", "z1", "--radius", "2",
+                 "--out", str(tmp_path / "dom")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import chisquare
 
 from percolab.coupling import (
+    EXP_COUPLE,
     couple_sequential,
     domination_margin,
     exhaustive_order_check,
@@ -15,7 +16,10 @@ from percolab.exact import (
     max_conditional_pivotal,
     product_measure,
 )
-from percolab.exploration import CLUSTER_FIRST
+from percolab.errors import CapExceeded
+from percolab.exploration import CLUSTER_FIRST, ClusterFirstRule, ExplorationTrace
+from percolab.lattices import LatticeSpec, build_ball
+from percolab.streams import stream
 
 
 def _config_int(bits):
@@ -128,3 +132,63 @@ def test_pair_json(z1_ball1):
     assert doc["ordered"] == pair.ordered
     assert len(doc["uniforms"]) == z1_ball1.n_edges
     assert len(doc["step_probs"]) == z1_ball1.n_edges
+
+
+def _couple_step_by_step(ball, q, oracle, rng_seed):
+    """Reference coupler: ask the rule for each next edge and extend the
+    trace one step at a time; (lower, upper, order, values, step_probs)."""
+    E = ball.n_edges
+    uniforms = stream(rng_seed, EXP_COUPLE).random(E)
+    lower = np.zeros(E, dtype=np.uint8)
+    upper = np.zeros(E, dtype=np.uint8)
+    trace = ExplorationTrace()
+    probs = []
+    for k in range(E):
+        e = CLUSTER_FIRST.next_edge(ball, trace)
+        pr = oracle(trace)
+        probs.append(pr)
+        upper[e] = uniforms[k] <= pr
+        lower[e] = uniforms[k] <= q
+        trace = trace.extend(e, upper[e])
+    return lower, upper, trace.order, trace.values, tuple(probs)
+
+
+def test_tree_walk_matches_step_by_step_exploration(z1_ball2, z2_ball1, tree3_ball1):
+    for ball in (z1_ball2, z2_ball1, tree3_ball1):
+        exact = make_conditional_oracle(ball, CLUSTER_FIRST, 0.5, 0.5)
+        for oracle in (exact, lambda trace: 0.3):
+            for seed in range(50):
+                pair = couple_sequential(ball, CLUSTER_FIRST, 0.4, oracle, seed)
+                lower, upper, order, values, probs = _couple_step_by_step(
+                    ball, 0.4, oracle, seed)
+                assert np.array_equal(pair.lower, lower)
+                assert np.array_equal(pair.upper, upper)
+                assert (pair.trace.order, pair.trace.values) == (order, values)
+                assert pair.step_probs == probs
+
+
+def test_coupler_reuses_the_exploration_tree(z1_ball2, monkeypatch):
+    oracle = make_conditional_oracle(z1_ball2, CLUSTER_FIRST, 0.5, 0.5)
+    couple_sequential(z1_ball2, CLUSTER_FIRST, 0.4, oracle, 0)
+    calls = []
+    next_edge = ClusterFirstRule.next_edge
+
+    def counted(self, ball, trace):
+        calls.append(trace)
+        return next_edge(self, ball, trace)
+
+    monkeypatch.setattr(ClusterFirstRule, "next_edge", counted)
+    for seed in range(100):
+        couple_sequential(z1_ball2, CLUSTER_FIRST, 0.4, oracle, seed)
+    assert calls == []
+
+
+def test_coupler_trace_cap_and_empty_ball():
+    tri = build_ball(LatticeSpec.triangular(), 1)  # 12 edges > trace cap
+    with pytest.raises(CapExceeded):
+        couple_sequential(tri, CLUSTER_FIRST, 0.5, lambda trace: 0.5, 0)
+    point = build_ball(LatticeSpec.hypercubic(1), 0)
+    pair = couple_sequential(point, CLUSTER_FIRST, 0.5, lambda trace: 0.5, 0)
+    assert pair.lower.size == pair.upper.size == pair.uniforms.size == 0
+    assert pair.trace == ExplorationTrace()
+    assert pair.step_probs == () and pair.violations == () and pair.ordered

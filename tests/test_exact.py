@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from percolab.core import cluster_of_origin
 from percolab.errors import CapExceeded
 from percolab.exact import (
     ExplicitMeasure,
+    _ball_tables,
     certificate_to_json,
+    cluster_members_table,
     cluster_size_table,
     conditional_measure,
     exact_magnetization,
-    exact_psi,
     fkg_sweep,
     magnetization_bound,
-    magnetization_table,
     make_conditional_oracle,
     max_conditional_pivotal,
     product_measure,
@@ -100,24 +101,36 @@ def test_normalizer_equals_one_minus_magnetization(z1_ball2):
             assert abs(z - (1.0 - m)) < 1e-12
 
 
-def test_exact_psi_values(single_edge_ball, z1_ball2):
-    assert exact_psi(z1_ball2, 0.37, 0) == 1.0
-    assert exact_psi(z1_ball2, 0.37, 1) == 1.0
-    assert abs(exact_psi(single_edge_ball, 0.42, 2) - 0.42) < 1e-14
-    assert exact_psi(z1_ball2, 0.9, z1_ball2.n_vertices + 1) == 0.0
+def test_psi_table_values(single_edge_ball, z1_ball2):
+    rows = psi_table(z1_ball2, 0.37)
+    assert [n for n, _ in rows] == list(range(z1_ball2.n_vertices + 1))
+    assert rows[0][1] == 1.0 and rows[1][1] == 1.0
+    assert abs(psi_table(single_edge_ball, 0.42)[2][1] - 0.42) < 1e-14
+    # the whole ball is the origin's cluster only when every edge is open
+    assert abs(psi_table(z1_ball2, 0.9)[-1][1] - 0.9 ** 4) < 1e-14
 
 
-def test_psi_table_matches_pointwise(z1_ball2):
-    rows = psi_table(z1_ball2, 0.55)
-    for n, value in rows:
-        assert value == pytest.approx(exact_psi(z1_ball2, 0.55, n), abs=1e-14)
+def test_psi_table_matches_pointwise(z1_ball2, tree3_ball1):
+    # psi_n summed configuration by configuration from the origin cluster
+    p = 0.55
+    for ball in (z1_ball2, tree3_ball1):
+        E = ball.n_edges
+        prod = product_measure(ball, p).weights
+        sizes = [cluster_of_origin(ball, np.array([(c >> e) & 1 for e in range(E)],
+                                                  dtype=np.uint8)).size
+                 for c in range(1 << E)]
+        for n, value in psi_table(ball, p):
+            brute = sum(w for w, size in zip(prod, sizes) if size >= n)
+            assert value == pytest.approx(brute, abs=1e-14)
 
 
-def test_magnetization_table_matches_pointwise(z1_ball2):
-    rows = magnetization_table(z1_ball2, [0.2, 0.5], [0.1, 1.0])
-    assert len(rows) == 4
-    for p, h, m in rows:
-        assert m == exact_magnetization(z1_ball2, p, h)
+def test_cluster_tables_are_shared_and_read_only(z2_ball1):
+    # one table set per ball, handed to every caller, which cannot write it
+    assert cluster_size_table(z2_ball1) is cluster_size_table(z2_ball1)
+    assert cluster_members_table(z2_ball1) is cluster_members_table(z2_ball1)
+    for table in _ball_tables(z2_ball1):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_conditional_open_prob_product_case(z1_ball2):
