@@ -60,6 +60,14 @@ DECAY_N_MAX_MIN = 60
 # namespace entries that are not flag values
 _NOT_FLAGS = ("command", "func", "config")
 
+# verify-tail-bound flags that only one mode reads, with their defaults.  They
+# parse to None, so that a flag given for the other mode can be told apart
+# from a default and rejected.
+_TAIL_MODE_FLAGS = {
+    "exact": {"radius": 2},
+    "mc": {"n_max": 100, "samples": 10_000, "cap": 100_000, "threads": 1},
+}
+
 
 def _float_list(text):
     text = text.strip()
@@ -266,12 +274,13 @@ def cmd_couple_demo(ns, out):
     return 0
 
 
-def _add_command(subs, name, func, help, threads=False):
+def _add_command(subs, name, func, help, threads=False, lattices=tuple(LATTICES)):
     """Subparser for ``name`` with the flags every command shares, and
-    ``--threads`` when the command grows clusters by Monte Carlo."""
+    ``--threads`` when the command grows clusters by Monte Carlo.
+    ``--lattice`` takes one of ``lattices`` and defaults to the first."""
     sub = subs.add_parser(name, help=help)
     sub.set_defaults(func=func)
-    sub.add_argument("--lattice", choices=sorted(LATTICES), default="z1")
+    sub.add_argument("--lattice", choices=lattices, default=lattices[0])
     sub.add_argument("--seed", type=int, default=0,
                      help="64-bit master seed for all randomness")
     sub.add_argument("--out", default="percolab-out",
@@ -300,13 +309,14 @@ def build_parser():
 
     s = _add_command(subs, "verify-tail-bound", cmd_verify_tail_bound,
                      "tail inequality, exact or Monte Carlo", threads=True)
-    s.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    s.add_argument("--radius", type=int, default=2)
+    s.add_argument("--mode", choices=list(_TAIL_MODE_FLAGS), default="exact")
+    s.add_argument("--radius", type=int)
     s.add_argument("--p", default=DEFAULT_P_GRID)
     s.add_argument("--h", default=DEFAULT_H_GRID)
-    s.add_argument("--n-max", dest="n_max", type=int, default=100)
-    s.add_argument("--samples", type=int, default=10_000)
-    s.add_argument("--cap", type=int, default=100_000)
+    s.add_argument("--n-max", dest="n_max", type=int)
+    s.add_argument("--samples", type=int)
+    s.add_argument("--cap", type=int)
+    s.set_defaults(threads=None)
 
     s = _add_command(subs, "decay", cmd_decay, "tail curve and exponential fit",
                      threads=True)
@@ -316,7 +326,7 @@ def build_parser():
 
     s = _add_command(subs, "meanfield", cmd_meanfield,
                      "reduced parameter vs the square-lattice threshold",
-                     threads=True)
+                     threads=True, lattices=("z2",))
     s.add_argument("--p", default="0.55,0.6,0.7,0.8,0.9,1.0")
     s.add_argument("--h", type=float, default=0.05)
     s.add_argument("--cap", type=int, default=100_000)
@@ -348,12 +358,23 @@ def _config_tokens(path, own):
     return tokens
 
 
-def _ignored_value(ns):
-    """The verify-tail-bound flag value its mode would silently ignore, if any."""
+def _resolve_mode_flags(ns, given):
+    """Default verify-tail-bound's flags for its mode and drop the other
+    mode's, so the manifest records only what the run reads; return the
+    usage error, if any.  ``given`` parsed the command line alone: the other
+    mode's flags are an error there, but dropped from a config, because
+    older manifests record every flag."""
     if ns.command != "verify-tail-bound":
         return None
-    if ns.mode == "exact" and ns.threads != 1:
-        return "--threads applies to --mode mc only"
+    for mode, flags in _TAIL_MODE_FLAGS.items():
+        for name, default in flags.items():
+            if mode == ns.mode:
+                if getattr(ns, name) is None:
+                    setattr(ns, name, default)
+            elif getattr(given, name) is not None:
+                return f"--{name.replace('_', '-')} applies to --mode {mode} only"
+            else:
+                delattr(ns, name)
     if ns.mode == "mc" and not len(_float_list(ns.p)) == len(_float_list(ns.h)) == 1:
         return "--mode mc takes a single --p and a single --h value"
     return None
@@ -363,14 +384,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = given = parser.parse_args(argv)
         if ns.config:
             # config values go first, so flags given on the command line win
             own = set(vars(ns)) - set(_NOT_FLAGS)
             ns = parser.parse_args(argv[:1] + _config_tokens(ns.config, own) + argv[1:])
-        ignored = _ignored_value(ns)
-        if ignored:
-            parser.error(f"{ns.command}: {ignored}")
+        error = _resolve_mode_flags(ns, given)
+        if error:
+            parser.error(f"{ns.command}: {error}")
         return ns.func(ns)
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

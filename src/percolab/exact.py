@@ -144,11 +144,15 @@ def _flips(n_edges):
     return idx ^ (np.int64(1) << np.arange(n_edges, dtype=np.int64))[:, None]
 
 
+def _check_field(h):
+    if not h >= 0.0:
+        raise ValueError("h must be nonnegative")
+
+
 def _avoidance_weights(ball: GraphBall, p: float, h: float) -> tuple:
     """(prod, avoid): the product weights at p, and prod * e^{-h |C_o|}, the
     unnormalized law of the edges on the avoidance event."""
-    if h < 0:
-        raise ValueError("h must be nonnegative")
+    _check_field(h)
     prod = product_measure(ball, p).weights
     return prod, prod * np.exp(-h * cluster_size_table(ball))
 
@@ -168,6 +172,7 @@ def conditional_measure(ball: GraphBall, p: float, h: float) -> ExplicitMeasure:
 
 def exact_magnetization(ball: GraphBall, p: float, h: float) -> float:
     """Probability that the origin cluster contains a green vertex."""
+    _check_field(h)
     prod = product_measure(ball, p)
     sizes = cluster_size_table(ball)
     return float(prod.weights @ -np.expm1(-h * sizes))
@@ -180,6 +185,7 @@ def magnetization_bound(ball: GraphBall, p: float, h: float) -> float:
     finite ball the maximum upper-bounds the probability that any fixed
     vertex reaches a green vertex, revealed edges removed or not.
     """
+    _check_field(h)
     prod = product_measure(ball, p)
     labels = _ball_tables(ball)[0]
     # |cluster(v)| per (configuration, vertex): count the labels of each row

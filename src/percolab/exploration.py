@@ -92,18 +92,6 @@ def run_exploration(ball: GraphBall, rule, config: np.ndarray) -> ExplorationTra
         trace = trace.extend(e, int(config[e]))
 
 
-def validate_trace(ball: GraphBall, rule, trace: ExplorationTrace) -> None:
-    """Replay the rule on the trace; raise ValueError on any mismatch."""
-    prefix = ExplorationTrace()
-    for e, x in zip(trace.order, trace.values):
-        expected = rule.next_edge(ball, prefix)
-        if expected != e:
-            raise ValueError(
-                f"trace is inconsistent with the rule at step {prefix.k}: "
-                f"recorded edge {e}, rule chooses {expected}")
-        prefix = prefix.extend(e, x)
-
-
 def _flip_clusters(ball, config, edge):
     """Origin clusters with ``edge`` forced closed and forced open."""
     clusters = []

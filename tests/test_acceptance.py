@@ -97,6 +97,8 @@ def test_criterion_2_conditional_open_probability_floor():
                 slack = margin - p * (1.0 - eps)
                 worst = min(worst, slack)
                 assert margin >= p * (1.0 - eps) - 1e-12, (name, p, h)
+                # pointwise P(e open | A, F) = p(1 - P(e pivotal, closed | A, F))
+                assert abs(slack) <= 1e-12, (name, p, h)
     _verdict(2, True, f"min conditional open probability >= p(1-eps*) on the "
                       f"whole grid (worst slack {worst:.3e}, tolerance 1e-12)")
 
@@ -132,6 +134,7 @@ def test_criterion_4_fkg_step_ordering():
                       f"(worst slack {worst:.3e}, tolerance 1e-12)")
 
 
+@pytest.mark.slow
 def test_criterion_5_coupling_correctness():
     p, h = 0.5, 0.5
     z1 = LatticeSpec.hypercubic(1)
@@ -166,6 +169,7 @@ def test_criterion_5_coupling_correctness():
                       "upper-marginal TV at 1e5 seeds: " + ", ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_6_monte_carlo_tail_bound_square():
     t0 = time.time()
     spec = LatticeSpec.hypercubic(2)
@@ -180,6 +184,7 @@ def test_criterion_6_monte_carlo_tail_bound_square():
                       f"in {elapsed:.0f}s (budget 600s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_meanfield_reduced_parameter():
     spec = LatticeSpec.hypercubic(2)
     rows = meanfield_verdict(spec, [0.55, 0.6, 0.7, 0.8, 0.9, 1.0], 0.05,
@@ -192,6 +197,7 @@ def test_criterion_7_meanfield_reduced_parameter():
                       f"reference threshold 1/2, h=0.05, cap=1e5)")
 
 
+@pytest.mark.slow
 def test_criterion_8_exponential_decay_fit():
     t0 = time.time()
     spec = LatticeSpec.hypercubic(2)

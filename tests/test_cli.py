@@ -73,6 +73,14 @@ def test_verify_tail_bound_exact(tmp_path):
                             for p, h in grid]
 
 
+@pytest.mark.parametrize("command", ["verify-tail-bound", "verify-domination",
+                                     "couple-demo"])
+def test_exact_commands_reject_negative_h(tmp_path, command):
+    # a usage error, not a failed check
+    assert main([command, "--lattice", "z1", "--radius", "1", "--p", "0.5",
+                 "--h=-0.05", "--out", str(tmp_path / "neg")]) == 2
+
+
 def test_verify_tail_bound_mc(tmp_path):
     out = tmp_path / "tailmc"
     code = main(["verify-tail-bound", "--mode", "mc", "--lattice", "z2",
@@ -101,6 +109,18 @@ def test_meanfield_command(tmp_path):
     assert code == 0
     rows = (out / "meanfield.csv").read_text().splitlines()
     assert all(line.endswith("PASS") for line in rows[1:])
+
+
+def test_meanfield_runs_on_the_square_lattice_only(tmp_path):
+    # its reference threshold is the square lattice's, so z2 is the default
+    out = tmp_path / "mf"
+    assert main(["meanfield", "--p", "1.0", "--cap", "500", "--samples", "30",
+                 "--out", str(out)]) == 0
+    assert _read_json(out / "manifest.json")["args"]["lattice"] == "z2"
+    with pytest.raises(SystemExit) as exc:
+        main(["meanfield", "--lattice", "z1", "--out", str(tmp_path / "z1")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "z1").exists()
 
 
 def test_couple_demo_q_zero(tmp_path):
@@ -220,6 +240,49 @@ def test_exact_commands_reject_threads(tmp_path):
             main([command, "--threads", "2", "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+TAIL_EXACT = ["verify-tail-bound", "--mode", "exact", "--lattice", "z1",
+              "--radius", "1"]
+TAIL_MC = ["verify-tail-bound", "--mode", "mc", "--lattice", "z2", "--p", "0.3",
+           "--h", "0.2", "--n-max", "20", "--samples", "1500", "--cap", "2000"]
+
+
+@pytest.mark.parametrize("argv", [
+    TAIL_EXACT + ["--n-max", "50"],
+    TAIL_EXACT + ["--samples", "5"],
+    TAIL_EXACT + ["--cap", "10"],
+    TAIL_EXACT + ["--threads", "1"],
+    TAIL_MC + ["--radius", "1"],
+])
+def test_verify_tail_bound_rejects_flags_of_the_other_mode(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (TAIL_EXACT, {"n_max", "samples", "cap", "threads"}),
+    (TAIL_MC, {"radius"}),
+])
+def test_verify_tail_bound_records_and_replays_only_read_flags(tmp_path, argv, unread):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = _read_json(out / "manifest.json")
+    assert not unread & set(manifest["args"])
+    # a manifest that records every flag, as older versions wrote, replays
+    # to the same outputs, its unread values dropped
+    old = tmp_path / "old.json"
+    defaults = {"radius": 2, "n_max": 100, "samples": 10_000, "cap": 100_000,
+                "threads": 1}
+    old.write_text(json.dumps({**manifest, "args": {**defaults, **manifest["args"]}}))
+    rerun = tmp_path / "rerun"
+    assert main(["verify-tail-bound", "--config", str(old), "--out", str(rerun)]) == 0
+    replayed = _read_json(rerun / "manifest.json")
+    assert replayed["args"] == manifest["args"]
+    assert replayed["outputs"] == manifest["outputs"]
 
 
 def test_verify_domination_labels_each_configuration_once(tmp_path, monkeypatch):

@@ -133,6 +133,18 @@ def test_cluster_tables_are_shared_and_read_only(z2_ball1):
             table[0] = 0
 
 
+@pytest.mark.parametrize("routine", [
+    conditional_measure, exact_magnetization, magnetization_bound,
+    make_conditional_oracle, max_conditional_pivotal, fkg_sweep,
+], ids=lambda f: f.__name__)
+def test_exact_routines_reject_negative_h(z1_ball1, routine):
+    args = (z1_ball1, 0.5, -0.05)
+    if routine in (make_conditional_oracle, max_conditional_pivotal, fkg_sweep):
+        args = (z1_ball1, CLUSTER_FIRST, 0.5, -0.05)
+    with pytest.raises(ValueError, match="nonnegative"):
+        routine(*args)
+
+
 def test_conditional_open_prob_product_case(z1_ball2):
     oracle = make_conditional_oracle(z1_ball2, CLUSTER_FIRST, 0.3, 0.0)
     for trace in (ExplorationTrace(), ExplorationTrace((0,), (1,)),
@@ -226,7 +238,8 @@ def test_pivotal_bounded_by_magnetization(z1_ball2, z2_ball1):
 def test_max_conditional_pivotal_matches_brute_force(ball_name, request):
     # P(next edge pivotal and avoidance | prefix) / P(avoidance | prefix),
     # summed configuration by configuration over each prefix's cylinder; the
-    # pair of events needs the next edge closed, since C- is inside C+
+    # pair of events needs the next edge closed, since C- is inside C+.
+    # At every reachable prefix the oracle then equals p(1 - that ratio).
     ball = request.getfixturevalue(ball_name)
     E = ball.n_edges
     for p, h in ((0.2, 0.1), (0.5, 0.5), (0.8, 1.0)):
@@ -244,6 +257,11 @@ def test_max_conditional_pivotal_matches_brute_force(ball_name, request):
         brute = max(num[key] / den[key] for key in den if den[key] > 0)
         got = max_conditional_pivotal(ball, CLUSTER_FIRST, p, h)
         assert abs(got - brute) < 1e-15
+        oracle = make_conditional_oracle(ball, CLUSTER_FIRST, p, h)
+        for (order, values), d in den.items():
+            if d > 0:
+                trace = ExplorationTrace(order, values)
+                assert abs(oracle(trace) - p * (1 - num[(order, values)] / d)) <= 1e-12
 
 
 def _fkg_row(ball, p, h, trace):

@@ -12,7 +12,6 @@ from percolab.exploration import (
     pivotal_ghost_weight,
     revealed_open_cluster,
     run_exploration,
-    validate_trace,
 )
 from percolab.streams import stream
 
@@ -69,15 +68,6 @@ def test_run_exploration_follows_cluster(z1_ball2):
     assert trace.order[0] == 0
     assert trace.order[1] == e_right == 1
     assert trace.order[2] == e_far_right
-
-
-def test_validate_trace(z1_ball2):
-    config = sample_config(z1_ball2, 0.5, 3)
-    trace = run_exploration(z1_ball2, CLUSTER_FIRST, config)
-    validate_trace(z1_ball2, CLUSTER_FIRST, trace)
-    bad = ExplorationTrace(trace.order[::-1], trace.values)
-    with pytest.raises(ValueError):
-        validate_trace(z1_ball2, CLUSTER_FIRST, bad)
 
 
 def test_trace_requires_distinct_edges():
