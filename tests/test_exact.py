@@ -124,6 +124,19 @@ def test_psi_table_matches_pointwise(z1_ball2, tree3_ball1):
             assert value == pytest.approx(brute, abs=1e-14)
 
 
+def test_magnetization_table_matches_pointwise(z1_ball2):
+    # m(p, h) over a grid, each summed configuration by configuration
+    E = z1_ball2.n_edges
+    sizes = [cluster_of_origin(z1_ball2, np.array([(c >> e) & 1 for e in range(E)],
+                                                  dtype=np.uint8)).size
+             for c in range(1 << E)]
+    for p in (0.2, 0.5):
+        prod = product_measure(z1_ball2, p).weights
+        for h in (0.1, 1.0):
+            brute = sum(w * (1.0 - math.exp(-h * size)) for w, size in zip(prod, sizes))
+            assert exact_magnetization(z1_ball2, p, h) == pytest.approx(brute, abs=1e-14)
+
+
 def test_cluster_tables_are_shared_and_read_only(z2_ball1):
     # one table set per ball, handed to every caller, which cannot write it
     assert cluster_size_table(z2_ball1) is cluster_size_table(z2_ball1)
