@@ -7,13 +7,7 @@ seeded Monte Carlo estimators for cluster-volume statistics.
 
 __version__ = "0.1.0"
 
-from .core import (
-    ClusterResult,
-    cluster_of_origin,
-    lazy_cluster,
-    sample_config,
-    sample_ghost,
-)
+from .core import ClusterResult, cluster_of_origin, lazy_cluster
 from .coupling import (
     CoupledPair,
     StepViolation,
@@ -48,12 +42,5 @@ from .exact import (
     strassen_dominates,
     verify_certificate,
 )
-from .exploration import (
-    CLUSTER_FIRST,
-    ClusterFirstRule,
-    ExplorationTrace,
-    is_pivotal_avoidance,
-    pivotal_ghost_weight,
-    run_exploration,
-)
+from .exploration import CLUSTER_FIRST, ClusterFirstRule, ExplorationTrace
 from .lattices import GraphBall, LatticeSpec, ball_to_json, build_ball, lazy_neighbors

@@ -70,10 +70,20 @@ _TAIL_MODE_FLAGS = {
 
 
 def _float_list(text):
-    text = text.strip()
-    if not text:
-        return []
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _float_grid(text):
+    """argparse type of a comma-separated grid flag.  It returns the text
+    unchanged, so manifests record the string and older ones replay, once it
+    holds at least one float and nothing else."""
+    try:
+        values = _float_list(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float grid: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("the grid holds no value")
+    return text
 
 
 def _decay_n_max(text):
@@ -115,15 +125,18 @@ def _digest(path):
 def _command(fn):
     """Subcommand decorator.  The command gets ``out(name)``, the path of an
     output file under ``--out``; afterwards manifest.json records the parsed
-    flag values, timestamps and the SHA-256 of every such file."""
+    flag values, timestamps and the SHA-256 of every such file.  ``--out`` is
+    made on the first ``out`` call, so a command that fails before writing
+    leaves no directory behind."""
     @functools.wraps(fn)
     def run(ns):
-        os.makedirs(ns.out, exist_ok=True)
         args = {k: v for k, v in vars(ns).items() if k not in _NOT_FLAGS + ("out",)}
         started = datetime.now(timezone.utc).isoformat()
         names = []
 
         def out(name):
+            if not names:
+                os.makedirs(ns.out, exist_ok=True)
             names.append(name)
             return os.path.join(ns.out, name)
 
@@ -302,8 +315,8 @@ def build_parser():
     s = _add_command(subs, "verify-domination", cmd_verify_domination,
                      "exact domination certificates on a small ball")
     s.add_argument("--radius", type=int, default=2)
-    s.add_argument("--p", default=DEFAULT_P_GRID)
-    s.add_argument("--h", default=DEFAULT_H_GRID)
+    s.add_argument("--p", type=_float_grid, default=DEFAULT_P_GRID)
+    s.add_argument("--h", type=_float_grid, default=DEFAULT_H_GRID)
     s.add_argument("--q-override", dest="q_override", type=float, default=None,
                    help="test hook: replace q = p(1-eps*) in the certificate")
 
@@ -311,8 +324,8 @@ def build_parser():
                      "tail inequality, exact or Monte Carlo", threads=True)
     s.add_argument("--mode", choices=list(_TAIL_MODE_FLAGS), default="exact")
     s.add_argument("--radius", type=int)
-    s.add_argument("--p", default=DEFAULT_P_GRID)
-    s.add_argument("--h", default=DEFAULT_H_GRID)
+    s.add_argument("--p", type=_float_grid, default=DEFAULT_P_GRID)
+    s.add_argument("--h", type=_float_grid, default=DEFAULT_H_GRID)
     s.add_argument("--n-max", dest="n_max", type=int)
     s.add_argument("--samples", type=int)
     s.add_argument("--cap", type=int)
@@ -327,7 +340,7 @@ def build_parser():
     s = _add_command(subs, "meanfield", cmd_meanfield,
                      "reduced parameter vs the square-lattice threshold",
                      threads=True, lattices=("z2",))
-    s.add_argument("--p", default="0.55,0.6,0.7,0.8,0.9,1.0")
+    s.add_argument("--p", type=_float_grid, default="0.55,0.6,0.7,0.8,0.9,1.0")
     s.add_argument("--h", type=float, default=0.05)
     s.add_argument("--cap", type=int, default=100_000)
     s.add_argument("--samples", type=int, default=2_000)

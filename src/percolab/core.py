@@ -1,8 +1,7 @@
-"""Percolation configurations, ghost fields, and cluster growth.
+"""Percolation configurations and cluster growth.
 
 An edge configuration is a uint8 bit vector indexed like ``ball.edges``
-(1 = open, 0 = closed); a ghost configuration is a bit vector over vertices
-(1 = green).  Cluster growth comes in two flavors: ``cluster_of_origin``
+(1 = open, 0 = closed).  Cluster growth comes in two flavors: ``cluster_of_origin``
 reads a full configuration on a finite ball, while ``lazy_cluster`` grows
 the origin's cluster directly on the infinite lattice, revealing each
 incident edge exactly once with a fresh Bernoulli(p) value, so the law of
@@ -10,25 +9,16 @@ min(|cluster|, cap) matches the true percolation law without building a
 large ball.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceeded
-from .lattices import (
-    GraphBall,
-    LatticeSpec,
-    edge_key,
-    incident_edges,
-    key_to_coords,
-    vertex_key,
-)
-from .streams import derive_key, keyed_uniform, stream
+from .lattices import GraphBall, LatticeSpec, incident_edges, key_to_coords, vertex_key
+from .streams import derive_key, keyed_uniform
 
-# Stream labels: (seed, label, ...) paths keep experiments independent.
-EXP_CONFIG = 1
-EXP_GHOST = 2
+# Stream label of lazy growth: (seed, label, ...) paths keep experiments
+# independent.
 EXP_GROW = 3
 
 MAX_CLUSTER_CAP = 1_000_000
@@ -45,41 +35,6 @@ class ClusterResult:
     members: frozenset
     size: int
     truncated: bool
-
-
-def sample_config(ball: GraphBall, p: float, rng_seed: int) -> np.ndarray:
-    """I.i.d. Bernoulli(p) edge configuration, deterministic given the seed.
-
-    The same seed reuses the same underlying uniforms for every p, so
-    configurations at p <= p' are pointwise ordered.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    u = stream(rng_seed, EXP_CONFIG).random(ball.n_edges)
-    return (u < p).astype(np.uint8)
-
-
-def sample_ghost(ball: GraphBall, h: float, rng_seed: int) -> np.ndarray:
-    """I.i.d. green markers with per-vertex probability 1 - exp(-h); h may be +inf."""
-    if h < 0:
-        raise ValueError("ghost intensity h must be nonnegative")
-    u = stream(rng_seed, EXP_GHOST).random(ball.n_vertices)
-    return (u < -math.expm1(-h)).astype(np.uint8)
-
-
-def sample_config_keyed(ball: GraphBall, p: float, rkey: int) -> np.ndarray:
-    """Edge configuration from per-edge keyed uniforms.
-
-    Uses the same (replicate key, edge key) uniforms as lazy growth, so a
-    ball configuration and a lazy run driven by the same key agree edge for
-    edge.  Intended for cross-checks and common-random-number couplings.
-    """
-    bits = np.zeros(ball.n_edges, dtype=np.uint8)
-    for e in range(ball.n_edges):
-        va, vb = ball.edge_coords(e)
-        if keyed_uniform(rkey, edge_key(ball.spec, va, vb)) < p:
-            bits[e] = 1
-    return bits
 
 
 def cluster_of_origin(ball: GraphBall, config: np.ndarray) -> ClusterResult:

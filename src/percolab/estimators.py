@@ -22,16 +22,17 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import grow_cluster_size, replicate_key, cluster_of_origin
-from .lattices import HYPERCUBIC, GraphBall, LatticeSpec
+from .core import grow_cluster_size, replicate_key
+from .lattices import HYPERCUBIC, LatticeSpec
 from .streams import stream
 
 EXP_PSI = 11
 EXP_MAG = 12
 EXP_CROSS = 13
-EXP_BALL = 14
 
+# Every interval is two-sided at this level; Z is its standard normal quantile.
 DEFAULT_CONFIDENCE = 0.999
+Z = NormalDist().inv_cdf(0.5 + DEFAULT_CONFIDENCE / 2.0)
 
 # The square lattice's exact bond threshold, and the slack meanfield_verdict
 # allows q above it.
@@ -52,8 +53,6 @@ class EstimateCI:
     hi: float
     samples: int
     truncated_fraction: float = 0.0
-    method: str = "wilson"
-    confidence: float = DEFAULT_CONFIDENCE
 
 
 @dataclass(frozen=True)
@@ -70,39 +69,35 @@ class MagnetizationInterval:
     effective_cap: int
 
 
-def z_value(confidence: float = DEFAULT_CONFIDENCE) -> float:
-    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
-
-
-def wilson_interval(successes: int, samples: int,
-                    confidence: float = DEFAULT_CONFIDENCE):
+def wilson_interval(successes: int, samples: int):
     """Wilson score interval for a binomial proportion."""
     if samples <= 0:
         return 0.0, 1.0
-    z = z_value(confidence)
     phat = successes / samples
-    denom = 1.0 + z * z / samples
-    center = (phat + z * z / (2 * samples)) / denom
-    half = (z / denom) * math.sqrt(phat * (1 - phat) / samples
-                                   + z * z / (4 * samples * samples))
+    denom = 1.0 + Z * Z / samples
+    center = (phat + Z * Z / (2 * samples)) / denom
+    half = (Z / denom) * math.sqrt(phat * (1 - phat) / samples
+                                   + Z * Z / (4 * samples * samples))
     # the exact endpoints are 0 and 1 at empty / full success counts
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == samples else min(1.0, center + half)
     return lo, hi
 
 
-def _normal_ci(values: np.ndarray, confidence: float):
+def _normal_ci(values: np.ndarray):
     n = len(values)
     mean = float(values.mean())
     if n < 2:
         return mean, mean, mean
     sd = float(values.std(ddof=1))
-    half = z_value(confidence) * sd / math.sqrt(n)
+    half = Z * sd / math.sqrt(n)
     return mean, max(0.0, mean - half), min(1.0, mean + half)
 
 
 def _collect_sizes(spec, p, cap, samples, rng_seed, experiment, threads=1):
     """Per-replicate cluster sizes (capped) and truncation flags."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if threads > 1:
         blocks = _split_blocks(samples, threads)
         args = [(spec, p, cap, rng_seed, experiment, lo, hi) for lo, hi in blocks]
@@ -136,8 +131,6 @@ def _sizes_block(args):
 def estimate_psi(spec: LatticeSpec, p: float, n: int, samples: int,
                  rng_seed: int, threads: int = 1) -> EstimateCI:
     """Estimate P(|origin cluster| >= n) by growing capped clusters."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
     return psi_curve(spec, p, [n], samples, rng_seed, threads)[n]
@@ -185,10 +178,8 @@ def estimate_magnetization(spec: LatticeSpec, p: float, h: float, cap: int,
     low_stat = -np.expm1(-h * sizes)
     up_stat = np.where(trunc, 1.0, low_stat)
     tf = float(trunc.mean())
-    m, lo, hi = _normal_ci(low_stat, DEFAULT_CONFIDENCE)
-    lower = EstimateCI(m, lo, hi, samples, tf, method="normal")
-    m, lo, hi = _normal_ci(up_stat, DEFAULT_CONFIDENCE)
-    upper = EstimateCI(m, lo, hi, samples, tf, method="normal")
+    lower = EstimateCI(*_normal_ci(low_stat), samples, tf)
+    upper = EstimateCI(*_normal_ci(up_stat), samples, tf)
     return MagnetizationInterval(lower, upper, cap, eff_cap)
 
 
@@ -274,9 +265,8 @@ def decay_fit(psi_table) -> DecayFit:
         raise ValueError("decay fit needs at least 5 entries with positive point")
     x = np.array([n for n, _ in pts], dtype=float)
     y = np.log(np.array([est.point for _, est in pts]))
-    z = z_value(DEFAULT_CONFIDENCE)
     widths = np.array([
-        (math.log(est.hi) - math.log(est.lo)) / (2 * z)
+        (math.log(est.hi) - math.log(est.lo)) / (2 * Z)
         if est.lo > 0.0 and est.hi > est.lo else 0.0
         for _, est in pts
     ])
@@ -303,7 +293,7 @@ def decay_fit(psi_table) -> DecayFit:
         se = math.sqrt(max(ss_res / dof, 0.0) / sxx)
     rate = -slope
     return DecayFit(rate, math.exp(intercept), r2, se,
-                    rate - z * se, rate + z * se, len(pts))
+                    rate - Z * se, rate + Z * se, len(pts))
 
 
 def meanfield_verdict(spec: LatticeSpec, p_list, h: float, cap: int,
@@ -374,22 +364,3 @@ def _crosses(open_h, open_v, nx, ny):
                 seen[i, j - 1] = True
                 stack.append((i, j - 1))
     return bool(seen[nx - 1, :].any())
-
-
-def estimate_psi_on_ball(ball: GraphBall, p: float, n: int, samples: int,
-                         rng_seed: int) -> EstimateCI:
-    """Tail estimate on a fixed finite ball by direct configuration sampling.
-
-    Companion to the exact enumeration on the same ball; used to calibrate
-    interval coverage against exactly known values.
-    """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    u = stream(rng_seed, EXP_BALL).random((samples, ball.n_edges))
-    configs = (u < p).astype(np.uint8)
-    successes = 0
-    for row in configs:
-        if cluster_of_origin(ball, row).size >= n:
-            successes += 1
-    lo, hi = wilson_interval(successes, samples)
-    return EstimateCI(successes / samples, lo, hi, samples)

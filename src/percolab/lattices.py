@@ -131,10 +131,6 @@ class GraphBall:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def edge_coords(self, e: int) -> tuple:
-        i, j = self.edges[e]
-        return self.vertices[i], self.vertices[j]
-
     def __repr__(self):
         return (f"GraphBall({self.spec.family}, radius={self.radius}, "
                 f"|V|={self.n_vertices}, |E|={self.n_edges})")
@@ -192,9 +188,9 @@ def ball_to_json(ball: GraphBall) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Integer key encodings shared by the lazy growth kernel, ball construction
-# (through lazy_neighbors) and the cross-checks.  Vertex keys are injective
-# for coordinates below _KEY_HALF;
+# Integer key encodings shared by the lazy growth kernel and ball
+# construction (through lazy_neighbors).  Vertex keys are injective for
+# coordinates below _KEY_HALF;
 # edge keys are (canonical endpoint key) * (#positive directions) + direction.
 # ---------------------------------------------------------------------------
 
@@ -279,12 +275,3 @@ def key_to_coords(spec: LatticeSpec, key: int) -> tuple:
         digits.append(k % base - 1)
         k //= base
     return tuple(reversed(digits))
-
-
-def edge_key(spec: LatticeSpec, va: tuple, vb: tuple) -> int:
-    """Canonical integer key of the undirected lattice edge {va, vb}."""
-    kb = vertex_key(spec, vb)
-    for ek, w in incident_edges(spec)(vertex_key(spec, va)):
-        if w == kb:
-            return ek
-    raise ValueError(f"{va} and {vb} are not lattice neighbors")

@@ -1,0 +1,154 @@
+"""Brute-force references that the tests compare percolab against.
+
+None of these is used by percolab's commands, demos or benchmark.  Each is
+the direct, configuration-by-configuration definition of a quantity that
+percolab computes some faster way.  The stream labels are fixed, so every
+test input they draw is reproducible.
+"""
+
+import math
+
+import numpy as np
+
+from percolab.core import cluster_of_origin
+from percolab.estimators import EstimateCI, wilson_interval
+from percolab.exploration import ExplorationTrace
+from percolab.lattices import GraphBall, LatticeSpec, incident_edges, vertex_key
+from percolab.streams import keyed_uniform, stream
+
+# Stream labels: (seed, label, ...) paths keep experiments independent.
+EXP_CONFIG = 1
+EXP_GHOST = 2
+EXP_BALL = 14
+
+
+def edge_coords(ball: GraphBall, e: int) -> tuple:
+    """Coordinates of the two endpoints of edge ``e``."""
+    i, j = ball.edges[e]
+    return ball.vertices[i], ball.vertices[j]
+
+
+def edge_key(spec: LatticeSpec, va: tuple, vb: tuple) -> int:
+    """Canonical integer key of the undirected lattice edge {va, vb}."""
+    kb = vertex_key(spec, vb)
+    for ek, w in incident_edges(spec)(vertex_key(spec, va)):
+        if w == kb:
+            return ek
+    raise ValueError(f"{va} and {vb} are not lattice neighbors")
+
+
+def sample_config(ball: GraphBall, p: float, rng_seed: int) -> np.ndarray:
+    """I.i.d. Bernoulli(p) edge configuration, deterministic given the seed.
+
+    The same seed reuses the same underlying uniforms for every p, so
+    configurations at p <= p' are pointwise ordered.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    u = stream(rng_seed, EXP_CONFIG).random(ball.n_edges)
+    return (u < p).astype(np.uint8)
+
+
+def sample_ghost(ball: GraphBall, h: float, rng_seed: int) -> np.ndarray:
+    """I.i.d. green markers with per-vertex probability 1 - exp(-h); h may be +inf."""
+    if h < 0:
+        raise ValueError("ghost intensity h must be nonnegative")
+    u = stream(rng_seed, EXP_GHOST).random(ball.n_vertices)
+    return (u < -math.expm1(-h)).astype(np.uint8)
+
+
+def sample_config_keyed(ball: GraphBall, p: float, rkey: int) -> np.ndarray:
+    """Edge configuration from per-edge keyed uniforms.
+
+    Uses the same (replicate key, edge key) uniforms as lazy growth, so a
+    ball configuration and a lazy run driven by the same key agree edge for
+    edge.
+    """
+    bits = np.zeros(ball.n_edges, dtype=np.uint8)
+    for e in range(ball.n_edges):
+        va, vb = edge_coords(ball, e)
+        if keyed_uniform(rkey, edge_key(ball.spec, va, vb)) < p:
+            bits[e] = 1
+    return bits
+
+
+def revealed_open_cluster(ball: GraphBall, trace: ExplorationTrace) -> set:
+    """Vertices joined to the origin by revealed-open edges of the trace."""
+    open_adj = {}
+    for e, x in zip(trace.order, trace.values):
+        if x:
+            i, j = ball.edges[e]
+            open_adj.setdefault(i, []).append(j)
+            open_adj.setdefault(j, []).append(i)
+    seen = {ball.origin}
+    queue = [ball.origin]
+    while queue:
+        v = queue.pop()
+        for w in open_adj.get(v, ()):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def run_exploration(ball: GraphBall, rule, config: np.ndarray) -> ExplorationTrace:
+    """Reveal every edge of ``config`` in the order chosen by ``rule``."""
+    trace = ExplorationTrace()
+    while True:
+        e = rule.next_edge(ball, trace)
+        if e is None:
+            return trace
+        trace = trace.extend(e, int(config[e]))
+
+
+def _flip_clusters(ball, config, edge):
+    """Origin clusters with ``edge`` forced closed and forced open."""
+    clusters = []
+    for bit in (0, 1):
+        flipped = np.array(config, dtype=np.uint8)
+        flipped[edge] = bit
+        clusters.append(cluster_of_origin(ball, flipped))
+    return clusters
+
+
+def is_pivotal_avoidance(ball: GraphBall, config: np.ndarray,
+                         ghost: np.ndarray, edge: int) -> bool:
+    """Does flipping ``edge`` change whether the origin cluster avoids green?"""
+    lo, hi = _flip_clusters(ball, config, edge)
+    return any(ghost[v] for v in lo.members) != any(ghost[v] for v in hi.members)
+
+
+def pivotal_ghost_weight(ball: GraphBall, config: np.ndarray,
+                         edge: int, h: float) -> float:
+    """Ghost-averaged pivotality probability of ``edge`` given the other edges.
+
+    With the edge forced closed the cluster is C-; forced open it is C+ and
+    D = C+ \\ C-.  The edge is pivotal exactly when C- has no green vertex
+    but D does, so the probability is e^{-h|C-|} (1 - e^{-h|D|}).
+    """
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    lo, hi = _flip_clusters(ball, config, edge)
+    d = hi.size - lo.size
+    if d == 0:
+        return 0.0
+    return math.exp(-h * lo.size) * -math.expm1(-h * d)
+
+
+def estimate_psi_on_ball(ball: GraphBall, p: float, n: int, samples: int,
+                         rng_seed: int) -> EstimateCI:
+    """Tail estimate on a fixed finite ball by direct configuration sampling.
+
+    Companion to the exact enumeration on the same ball; used to calibrate
+    interval coverage against exactly known values.
+    """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    u = stream(rng_seed, EXP_BALL).random((samples, ball.n_edges))
+    configs = (u < p).astype(np.uint8)
+    successes = 0
+    for row in configs:
+        if cluster_of_origin(ball, row).size >= n:
+            successes += 1
+    lo, hi = wilson_interval(successes, samples)
+    return EstimateCI(successes / samples, lo, hi, samples)

@@ -16,7 +16,6 @@ from percolab.cli import main as cli_main
 from percolab.coupling import couple_sequential, domination_margin, exhaustive_order_check
 from percolab.estimators import (
     decay_fit,
-    estimate_psi_on_ball,
     meanfield_verdict,
     psi_curve,
     tail_bound_verdict,
@@ -36,6 +35,7 @@ from percolab.exact import (
 from percolab.exploration import CLUSTER_FIRST
 from percolab.lattices import GraphBall, LatticeSpec, build_ball
 from percolab.streams import derive_key
+from reference import estimate_psi_on_ball
 
 P_GRID = (0.2, 0.5, 0.8)
 H_GRID = (0.1, 0.5, 1.0)

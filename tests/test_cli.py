@@ -30,12 +30,51 @@ def test_verify_domination_default_ball(tmp_path):
 
 
 def test_verify_domination_empty_grid(tmp_path):
+    # an empty grid checks nothing, so it is a usage error, not a pass
     out = tmp_path / "empty"
-    code = main(["verify-domination", "--lattice", "z1", "--radius", "1",
-                 "--p", "", "--out", str(out)])
-    assert code == 0
-    report = _read_json(out / "domination_report.json")
-    assert report["points"] == []
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-domination", "--lattice", "z1", "--radius", "1",
+              "--p", "", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["", ",", "abc"])
+@pytest.mark.parametrize("argv", [
+    ["verify-domination", "--lattice", "z1", "--radius", "1", "--p"],
+    ["verify-domination", "--lattice", "z1", "--radius", "1", "--h"],
+    ["verify-tail-bound", "--lattice", "z1", "--radius", "1", "--p"],
+    ["verify-tail-bound", "--lattice", "z1", "--radius", "1", "--h"],
+    ["meanfield", "--p"],
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_grid_flags_need_a_float(tmp_path, argv, grid):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [grid, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--lattice", "z2", "--samples", "0"],
+    ["decay", "--lattice", "z2", "--samples", "-3"],
+    ["verify-tail-bound", "--mode", "mc", "--lattice", "z2", "--p", "0.3",
+     "--h", "0.2", "--samples", "0"],
+    ["meanfield", "--p", "0.6", "--samples", "0"],
+])
+def test_samples_below_one_is_a_usage_error(tmp_path, argv):
+    # exit 1 is kept for failed checks; no output is written
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify-domination", "verify-tail-bound"])
+def test_p_outside_the_unit_interval_is_a_usage_error(tmp_path, command):
+    out = tmp_path / "out"
+    assert main([command, "--lattice", "z1", "--radius", "1", "--p", "1.5",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_q_override_produces_failure_witness(tmp_path):
@@ -76,9 +115,11 @@ def test_verify_tail_bound_exact(tmp_path):
 @pytest.mark.parametrize("command", ["verify-tail-bound", "verify-domination",
                                      "couple-demo"])
 def test_exact_commands_reject_negative_h(tmp_path, command):
-    # a usage error, not a failed check
+    # a usage error, not a failed check, and nothing is written
+    out = tmp_path / "neg"
     assert main([command, "--lattice", "z1", "--radius", "1", "--p", "0.5",
-                 "--h=-0.05", "--out", str(tmp_path / "neg")]) == 2
+                 "--h=-0.05", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_verify_tail_bound_mc(tmp_path):
@@ -147,15 +188,18 @@ def test_couple_demo_h_zero_identical_margins(tmp_path):
 
 
 def test_usage_error_exit_code(tmp_path):
-    code = main(["verify-tail-bound", "--mode", "mc", "--lattice", "z2",
-                 "--p", "not-a-number", "--out", str(tmp_path / "x")])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-tail-bound", "--mode", "mc", "--lattice", "z2",
+              "--p", "not-a-number", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_cap_violation_exit_code(tmp_path):
     code = main(["verify-domination", "--lattice", "tri", "--radius", "1",
                  "--p", "0.5", "--h", "0.5", "--out", str(tmp_path / "cap")])
     assert code == 2  # 12 edges exceed the trace-enumeration cap
+    assert not (tmp_path / "cap").exists()
 
 
 def test_config_file_merging(tmp_path):

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from percolab.core import (
     EXP_GROW,
@@ -11,56 +9,12 @@ from percolab.core import (
     cluster_of_origin,
     grow_cluster_size,
     lazy_cluster,
-    sample_config,
-    sample_config_keyed,
-    sample_ghost,
 )
 from percolab.errors import CapExceeded
 from percolab.exact import exact_magnetization
-from percolab.lattices import LatticeSpec, build_ball
+from percolab.lattices import build_ball
 from percolab.streams import derive_key, stream
-
-
-def test_sample_config_extremes(z1_ball2):
-    assert not sample_config(z1_ball2, 0.0, 1).any()
-    assert sample_config(z1_ball2, 1.0, 1).all()
-
-
-def test_sample_config_deterministic(z2_ball1):
-    a = sample_config(z2_ball1, 0.37, 99)
-    b = sample_config(z2_ball1, 0.37, 99)
-    assert np.array_equal(a, b)
-    c = sample_config(z2_ball1, 0.37, 100)
-    assert not np.array_equal(a, c)
-
-
-def test_open_fraction_concentrates(z1):
-    # 1e5 edges at p = 1/2: binomial tail puts the mean within 0.01 whp
-    ball = build_ball(z1, 50_000)
-    config = sample_config(ball, 0.5, 2024)
-    assert abs(config.mean() - 0.5) < 0.01
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(0, 1), st.floats(0, 1))
-def test_sample_config_monotone_in_p(p, p2):
-    ball = build_ball(LatticeSpec.hypercubic(2), 2)
-    lo, hi = sorted((p, p2))
-    a = sample_config(ball, lo, 5)
-    b = sample_config(ball, hi, 5)
-    assert np.all(a <= b)
-
-
-def test_sample_ghost_extremes(z2_ball1):
-    assert not sample_ghost(z2_ball1, 0.0, 1).any()
-    assert sample_ghost(z2_ball1, float("inf"), 1).all()
-
-
-def test_sample_ghost_half_probability(z1):
-    # h = ln 2 colors each vertex green with probability exactly 1/2
-    ball = build_ball(z1, 30_000)
-    ghost = sample_ghost(ball, math.log(2), 7)
-    assert abs(ghost.mean() - 0.5) < 0.01
+from reference import edge_coords, sample_config, sample_config_keyed
 
 
 def test_cluster_extremes(z1_ball2):
@@ -76,7 +30,7 @@ def test_cluster_single_open_edge(z1_ball2):
     target = {(0,), (1,)}
     config = np.zeros(4, dtype=np.uint8)
     for e in range(4):
-        va, vb = z1_ball2.edge_coords(e)
+        va, vb = edge_coords(z1_ball2, e)
         if {va, vb} == target:
             config[e] = 1
     got = cluster_of_origin(z1_ball2, config)

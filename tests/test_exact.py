@@ -11,6 +11,7 @@ from percolab.errors import CapExceeded
 from percolab.exact import (
     ExplicitMeasure,
     _ball_tables,
+    _vertex_cluster_sizes,
     certificate_to_json,
     cluster_members_table,
     cluster_size_table,
@@ -26,13 +27,9 @@ from percolab.exact import (
     strassen_dominates,
     verify_certificate,
 )
-from percolab.exploration import (
-    CLUSTER_FIRST,
-    ExplorationTrace,
-    pivotal_ghost_weight,
-    run_exploration,
-)
+from percolab.exploration import CLUSTER_FIRST, ExplorationTrace
 from percolab.lattices import LatticeSpec, build_ball
+from reference import pivotal_ghost_weight, run_exploration
 
 
 def test_product_measure_single_edge(single_edge_ball):
@@ -141,7 +138,9 @@ def test_cluster_tables_are_shared_and_read_only(z2_ball1):
     # one table set per ball, handed to every caller, which cannot write it
     assert cluster_size_table(z2_ball1) is cluster_size_table(z2_ball1)
     assert cluster_members_table(z2_ball1) is cluster_members_table(z2_ball1)
-    for table in _ball_tables(z2_ball1):
+    # the per-vertex sizes behind magnetization_bound: one table per ball too
+    assert _vertex_cluster_sizes(z2_ball1) is _vertex_cluster_sizes(z2_ball1)
+    for table in _ball_tables(z2_ball1) + (_vertex_cluster_sizes(z2_ball1),):
         with pytest.raises(ValueError):
             table[0] = 0
 
