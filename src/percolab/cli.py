@@ -60,14 +60,6 @@ DECAY_N_MAX_MIN = 60
 # namespace entries that are not flag values
 _NOT_FLAGS = ("command", "func", "config")
 
-# verify-tail-bound flags that only one mode reads, with their defaults.  They
-# parse to None, so that a flag given for the other mode can be told apart
-# from a default and rejected.
-_TAIL_MODE_FLAGS = {
-    "exact": {"radius": 2},
-    "mc": {"n_max": 100, "samples": 10_000, "cap": 100_000, "threads": 1},
-}
-
 
 def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -200,43 +192,41 @@ def cmd_verify_domination(ns, out):
 
 @_command
 def cmd_verify_tail_bound(ns, out):
-    """Tail inequality check: exact on a small ball, or Monte Carlo."""
-    spec = LATTICES[ns.lattice]
+    """Tail inequality checked exactly on a small ball over a (p, h) grid."""
+    ball = build_ball(LATTICES[ns.lattice], ns.radius)
+    h_grid = _float_list(ns.h)
+    psi = [(p, psi_table(ball, p)) for p in _float_list(ns.p)]
     rows = []
-    failed = False
-    if ns.mode == "exact":
-        ball = build_ball(spec, ns.radius)
-        h_grid = _float_list(ns.h)
-        psi = [(p, psi_table(ball, p)) for p in _float_list(ns.p)]
-        mags = []
-        for p, psi_p in psi:
-            for h in h_grid:
-                m = exact_magnetization(ball, p, h)
-                mags.append((p, h, m))
-                q = p * (1.0 - m)
-                for (n, lhs), (_, at_p) in zip(psi_table(ball, q), psi_p):
-                    rhs = at_p * math.exp(-h * n) / (1.0 - m)
-                    slack = rhs - lhs
-                    ok = lhs <= rhs + 1e-12
-                    failed = failed or not ok
-                    rows.append([p, h, n, lhs, rhs, slack, "PASS" if ok else "FAIL"])
-        header = ["p", "h", "n", "lhs", "rhs", "slack", "verdict"]
-        _write_csv(out("psi_exact.csv"), ["p", "n", "psi"],
-                   [[p, n, value] for p, table in psi for n, value in table])
-        _write_csv(out("magnetization_exact.csv"), ["p", "h", "m"], mags)
-    else:
-        p = _float_list(ns.p)[0]
-        h = _float_list(ns.h)[0]
-        n_list = list(range(10, ns.n_max + 1, 10))
-        report = tail_bound_verdict(spec, p, h, n_list, ns.samples, ns.seed,
-                                    cap=ns.cap, threads=ns.threads)
-        for r in report.rows:
-            rows.append([p, h, r["n"], r["lhs"], r["lhs_hi"], r["psi_p"],
-                         r["rhs"], r["verdict"]])
-        failed = report.failed
-        header = ["p", "h", "n", "lhs", "lhs_hi", "psi_p", "rhs", "verdict"]
-    _write_csv(out("tail_bound.csv"), header, rows)
-    return 1 if failed else 0
+    mags = []
+    for p, psi_p in psi:
+        for h in h_grid:
+            m = exact_magnetization(ball, p, h)
+            mags.append((p, h, m))
+            q = p * (1.0 - m)
+            for (n, lhs), (_, at_p) in zip(psi_table(ball, q), psi_p):
+                rhs = at_p * math.exp(-h * n) / (1.0 - m)
+                ok = lhs <= rhs + 1e-12
+                rows.append([p, h, n, lhs, rhs, rhs - lhs, "PASS" if ok else "FAIL"])
+    _write_csv(out("psi_exact.csv"), ["p", "n", "psi"],
+               [[p, n, value] for p, table in psi for n, value in table])
+    _write_csv(out("magnetization_exact.csv"), ["p", "h", "m"], mags)
+    _write_csv(out("tail_bound.csv"), ["p", "h", "n", "lhs", "rhs", "slack", "verdict"],
+               rows)
+    return 1 if any(row[-1] == "FAIL" for row in rows) else 0
+
+
+@_command
+def cmd_verify_tail_bound_mc(ns, out):
+    """Tail inequality checked by Monte Carlo on the infinite lattice."""
+    p, h = ns.p, ns.h
+    report = tail_bound_verdict(LATTICES[ns.lattice], p, h,
+                                list(range(10, ns.n_max + 1, 10)), ns.samples,
+                                ns.seed, cap=ns.cap, threads=ns.threads)
+    rows = [[p, h, r["n"], r["lhs"], r["lhs_hi"], r["psi_p"], r["rhs"], r["verdict"]]
+            for r in report.rows]
+    _write_csv(out("tail_bound.csv"),
+               ["p", "h", "n", "lhs", "lhs_hi", "psi_p", "rhs", "verdict"], rows)
+    return 1 if report.failed else 0
 
 
 @_command
@@ -321,15 +311,19 @@ def build_parser():
                    help="test hook: replace q = p(1-eps*) in the certificate")
 
     s = _add_command(subs, "verify-tail-bound", cmd_verify_tail_bound,
-                     "tail inequality, exact or Monte Carlo", threads=True)
-    s.add_argument("--mode", choices=list(_TAIL_MODE_FLAGS), default="exact")
-    s.add_argument("--radius", type=int)
+                     "tail inequality, exact on a small ball")
+    s.add_argument("--radius", type=int, default=2)
     s.add_argument("--p", type=_float_grid, default=DEFAULT_P_GRID)
     s.add_argument("--h", type=_float_grid, default=DEFAULT_H_GRID)
-    s.add_argument("--n-max", dest="n_max", type=int)
-    s.add_argument("--samples", type=int)
-    s.add_argument("--cap", type=int)
-    s.set_defaults(threads=None)
+
+    s = _add_command(subs, "verify-tail-bound-mc", cmd_verify_tail_bound_mc,
+                     "tail inequality, Monte Carlo on the infinite lattice",
+                     threads=True)
+    s.add_argument("--p", type=float, default=0.45)
+    s.add_argument("--h", type=float, default=0.1)
+    s.add_argument("--n-max", dest="n_max", type=int, default=100)
+    s.add_argument("--samples", type=int, default=10_000)
+    s.add_argument("--cap", type=int, default=100_000)
 
     s = _add_command(subs, "decay", cmd_decay, "tail curve and exponential fit",
                      threads=True)
@@ -354,57 +348,28 @@ def build_parser():
     return parser
 
 
-def _config_tokens(path, own):
-    """``--flag=value`` tokens for the values in a JSON config (a manifest
-    carries them under 'args') that name one of the flags in ``own``."""
+def _config_tokens(path):
+    """``--flag=value`` tokens for the non-null values in a JSON config (a
+    manifest carries them under 'args'), so that argparse checks each key
+    and value as it checks the command line."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config {path} is not a JSON object")
     if isinstance(data.get("args"), dict):
         data = data["args"]
-    tokens = []
-    for key, value in data.items():
-        attr = key.replace("-", "_")
-        if attr in own and value is not None:
-            tokens.append(f"--{attr.replace('_', '-')}={value}")
-    return tokens
-
-
-def _resolve_mode_flags(ns, given):
-    """Default verify-tail-bound's flags for its mode and drop the other
-    mode's, so the manifest records only what the run reads; return the
-    usage error, if any.  ``given`` parsed the command line alone: the other
-    mode's flags are an error there, but dropped from a config, because
-    older manifests record every flag."""
-    if ns.command != "verify-tail-bound":
-        return None
-    for mode, flags in _TAIL_MODE_FLAGS.items():
-        for name, default in flags.items():
-            if mode == ns.mode:
-                if getattr(ns, name) is None:
-                    setattr(ns, name, default)
-            elif getattr(given, name) is not None:
-                return f"--{name.replace('_', '-')} applies to --mode {mode} only"
-            else:
-                delattr(ns, name)
-    if ns.mode == "mc" and not len(_float_list(ns.p)) == len(_float_list(ns.h)) == 1:
-        return "--mode mc takes a single --p and a single --h value"
-    return None
+    return [f"--{key.replace('_', '-')}={value}"
+            for key, value in data.items() if value is not None]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        ns = given = parser.parse_args(argv)
+        ns = parser.parse_args(argv)
         if ns.config:
             # config values go first, so flags given on the command line win
-            own = set(vars(ns)) - set(_NOT_FLAGS)
-            ns = parser.parse_args(argv[:1] + _config_tokens(ns.config, own) + argv[1:])
-        error = _resolve_mode_flags(ns, given)
-        if error:
-            parser.error(f"{ns.command}: {error}")
+            ns = parser.parse_args(argv[:1] + _config_tokens(ns.config) + argv[1:])
         return ns.func(ns)
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

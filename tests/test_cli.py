@@ -58,8 +58,8 @@ def test_grid_flags_need_a_float(tmp_path, argv, grid):
 @pytest.mark.parametrize("argv", [
     ["decay", "--lattice", "z2", "--samples", "0"],
     ["decay", "--lattice", "z2", "--samples", "-3"],
-    ["verify-tail-bound", "--mode", "mc", "--lattice", "z2", "--p", "0.3",
-     "--h", "0.2", "--samples", "0"],
+    ["verify-tail-bound-mc", "--lattice", "z2", "--p", "0.3", "--h", "0.2",
+     "--samples", "0"],
     ["meanfield", "--p", "0.6", "--samples", "0"],
 ])
 def test_samples_below_one_is_a_usage_error(tmp_path, argv):
@@ -93,8 +93,8 @@ def test_q_override_produces_failure_witness(tmp_path):
 def test_verify_tail_bound_exact(tmp_path):
     # a repeated grid value keeps its place and its rows
     out = tmp_path / "tail"
-    code = main(["verify-tail-bound", "--mode", "exact", "--lattice", "z1",
-                 "--radius", "2", "--p", "0.8,0.2,0.8", "--out", str(out)])
+    code = main(["verify-tail-bound", "--lattice", "z1", "--radius", "2",
+                 "--p", "0.8,0.2,0.8", "--out", str(out)])
     assert code == 0
     rows = (out / "tail_bound.csv").read_text().splitlines()
     assert rows[0] == "p,h,n,lhs,rhs,slack,verdict"
@@ -124,7 +124,7 @@ def test_exact_commands_reject_negative_h(tmp_path, command):
 
 def test_verify_tail_bound_mc(tmp_path):
     out = tmp_path / "tailmc"
-    code = main(["verify-tail-bound", "--mode", "mc", "--lattice", "z2",
+    code = main(["verify-tail-bound-mc", "--lattice", "z2",
                  "--p", "0.3", "--h", "0.2", "--n-max", "20",
                  "--samples", "1500", "--cap", "2000", "--out", str(out)])
     assert code == 0
@@ -189,7 +189,7 @@ def test_couple_demo_h_zero_identical_margins(tmp_path):
 
 def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        main(["verify-tail-bound", "--mode", "mc", "--lattice", "z2",
+        main(["verify-tail-bound-mc", "--lattice", "z2",
               "--p", "not-a-number", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert not (tmp_path / "x").exists()
@@ -220,13 +220,37 @@ def test_config_values_are_validated_like_flags(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["decay", "--config", str(bad), "--out", str(tmp_path / "bad")])
     assert exc.value.code == 2
+    # a key that names no flag is rejected like an unknown flag
+    values = {"samples": "100", "lattice": "z2", "n_max": 60, "cap": None}
+    cfg = tmp_path / "unknown.json"
+    cfg.write_text(json.dumps({**values, "unknown": 1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--config", str(cfg), "--out", str(tmp_path / "unknown")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "unknown").exists()
     # a string value is parsed like the same flag typed on the command line
     cfg = tmp_path / "samples.json"
-    cfg.write_text(json.dumps({"samples": "100", "lattice": "z2", "n_max": 60,
-                               "cap": None, "unknown": 1}))
+    cfg.write_text(json.dumps(values))
     out = tmp_path / "samples"
     assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["args"]["samples"] == 100
+
+
+@pytest.mark.parametrize("command, key", [
+    ("verify-domination", {"threads": 4}),
+    ("verify-tail-bound", {"mode": "mc"}),
+    ("verify-tail-bound-mc", {"mode": "mc"}),
+], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+def test_config_keys_that_name_no_flag_are_usage_errors(tmp_path, command, key):
+    # the same value as a flag exits 2, so as a config key it may not be
+    # dropped and the run go on
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(key))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--lattice", "z1", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_decay_rejects_short_fit_range_before_growing(tmp_path):
@@ -277,7 +301,6 @@ def test_decay_threads_match_serial(tmp_path):
 
 def test_exact_commands_reject_threads(tmp_path):
     # the exact commands run serially; accepting the flag would ignore it
-    # (verify-tail-bound runs in exact mode by default)
     for command in ("verify-domination", "couple-demo", "verify-tail-bound"):
         out = tmp_path / command
         with pytest.raises(SystemExit) as exc:
@@ -286,10 +309,9 @@ def test_exact_commands_reject_threads(tmp_path):
         assert not out.exists()
 
 
-TAIL_EXACT = ["verify-tail-bound", "--mode", "exact", "--lattice", "z1",
-              "--radius", "1"]
-TAIL_MC = ["verify-tail-bound", "--mode", "mc", "--lattice", "z2", "--p", "0.3",
-           "--h", "0.2", "--n-max", "20", "--samples", "1500", "--cap", "2000"]
+TAIL_EXACT = ["verify-tail-bound", "--lattice", "z1", "--radius", "1"]
+TAIL_MC = ["verify-tail-bound-mc", "--lattice", "z2", "--p", "0.3", "--h", "0.2",
+           "--n-max", "20", "--samples", "1500", "--cap", "2000"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -300,6 +322,8 @@ TAIL_MC = ["verify-tail-bound", "--mode", "mc", "--lattice", "z2", "--p", "0.3",
     TAIL_MC + ["--radius", "1"],
 ])
 def test_verify_tail_bound_rejects_flags_of_the_other_mode(tmp_path, argv):
+    # each tail command takes only the flags it reads: the exact check none
+    # of the Monte Carlo ones, the Monte Carlo check no --radius
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
@@ -315,18 +339,26 @@ def test_verify_tail_bound_records_and_replays_only_read_flags(tmp_path, argv, u
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 0
     manifest = _read_json(out / "manifest.json")
-    assert not unread & set(manifest["args"])
-    # a manifest that records every flag, as older versions wrote, replays
-    # to the same outputs, its unread values dropped
-    old = tmp_path / "old.json"
-    defaults = {"radius": 2, "n_max": 100, "samples": 10_000, "cap": 100_000,
-                "threads": 1}
-    old.write_text(json.dumps({**manifest, "args": {**defaults, **manifest["args"]}}))
+    assert not (unread | {"mode"}) & set(manifest["args"])
     rerun = tmp_path / "rerun"
-    assert main(["verify-tail-bound", "--config", str(old), "--out", str(rerun)]) == 0
+    assert main([argv[0], "--config", str(out / "manifest.json"),
+                 "--out", str(rerun)]) == 0
     replayed = _read_json(rerun / "manifest.json")
     assert replayed["args"] == manifest["args"]
     assert replayed["outputs"] == manifest["outputs"]
+    # a manifest from when one command took both checks under --mode records
+    # every flag and the mode; it fails loudly rather than run another check
+    old = tmp_path / "old.json"
+    defaults = {"radius": 2, "n_max": 100, "samples": 10_000, "cap": 100_000,
+                "threads": 1}
+    mode = "mc" if argv[0].endswith("-mc") else "exact"
+    old.write_text(json.dumps(
+        {**manifest, "args": {**defaults, **manifest["args"], "mode": mode}}))
+    stale = tmp_path / "stale"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(old), "--out", str(stale)])
+    assert exc.value.code == 2
+    assert not stale.exists()
 
 
 def test_verify_domination_labels_each_configuration_once(tmp_path, monkeypatch):
@@ -348,8 +380,8 @@ def test_verify_domination_labels_each_configuration_once(tmp_path, monkeypatch)
     ["meanfield", "--h", "0.05,0.1"],
     ["couple-demo", "--p", "0.3,0.4"],
     ["couple-demo", "--h", "0.5,1.0"],
-    ["verify-tail-bound", "--mode", "mc", "--p", "0.3,0.4"],
-    ["verify-tail-bound", "--mode", "mc", "--h", "0.2,0.3"],
+    ["verify-tail-bound-mc", "--p", "0.3,0.4"],
+    ["verify-tail-bound-mc", "--h", "0.2,0.3"],
 ])
 def test_single_value_flags_reject_lists(tmp_path, argv):
     # each of these runs at one value; a list used to run only its first
