@@ -78,15 +78,17 @@ def _float_grid(text):
     return text
 
 
-def _decay_n_max(text):
-    try:
-        n_max = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n_max < DECAY_N_MAX_MIN:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {DECAY_N_MAX_MIN} to give the fit five points")
-    return n_max
+def _int_at_least(minimum):
+    """argparse type of an integer flag that must be at least ``minimum``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+    return parse
 
 
 def _write_json(path, payload):
@@ -235,11 +237,11 @@ def cmd_decay(ns, out):
     n_list = list(range(20, ns.n_max + 1, 10))
     curve = psi_curve(LATTICES[ns.lattice], ns.p, n_list, ns.samples, ns.seed,
                       threads=ns.threads)
+    fit = decay_fit([(n, curve[n]) for n in n_list])
     rows = [[n, curve[n].point, curve[n].lo, curve[n].hi, curve[n].samples]
             for n in n_list]
     _write_csv(out("decay_curve.csv"),
                ["n", "psi", "lo", "hi", "samples"], rows)
-    fit = decay_fit([(n, curve[n]) for n in n_list])
     _write_json(out("decay_fit.json"), {
         "p": ns.p, "rate": fit.rate, "prefactor": fit.prefactor,
         "r_squared": fit.r_squared, "rate_se": fit.rate_se,
@@ -289,7 +291,7 @@ def _add_command(subs, name, func, help, threads=False, lattices=tuple(LATTICES)
     sub.add_argument("--out", default="percolab-out",
                      help="output directory for CSV/JSON artifacts")
     if threads:
-        sub.add_argument("--threads", type=int, default=1,
+        sub.add_argument("--threads", type=_int_at_least(1), default=1,
                          help="worker pool size; results do not depend on it")
     sub.add_argument("--config", default=None,
                      help="JSON file of flag values (a manifest works too)")
@@ -321,14 +323,16 @@ def build_parser():
                      threads=True)
     s.add_argument("--p", type=float, default=0.45)
     s.add_argument("--h", type=float, default=0.1)
-    s.add_argument("--n-max", dest="n_max", type=int, default=100)
+    # it checks n = 10, 20, ..., n_max
+    s.add_argument("--n-max", dest="n_max", type=_int_at_least(10), default=100)
     s.add_argument("--samples", type=int, default=10_000)
     s.add_argument("--cap", type=int, default=100_000)
 
     s = _add_command(subs, "decay", cmd_decay, "tail curve and exponential fit",
                      threads=True)
     s.add_argument("--p", type=float, default=0.4)
-    s.add_argument("--n-max", dest="n_max", type=_decay_n_max, default=120)
+    s.add_argument("--n-max", dest="n_max", type=_int_at_least(DECAY_N_MAX_MIN),
+                   default=120)
     s.add_argument("--samples", type=int, default=100_000)
 
     s = _add_command(subs, "meanfield", cmd_meanfield,

@@ -94,10 +94,16 @@ def _normal_ci(values: np.ndarray):
     return mean, max(0.0, mean - half), min(1.0, mean + half)
 
 
-def _collect_sizes(spec, p, cap, samples, rng_seed, experiment, threads=1):
-    """Per-replicate cluster sizes (capped) and truncation flags."""
+def _check_sampling(p, samples):
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+
+
+def _collect_sizes(spec, p, cap, samples, rng_seed, experiment, threads=1):
+    """Per-replicate cluster sizes (capped) and truncation flags."""
+    _check_sampling(p, samples)
     if threads > 1:
         blocks = _split_blocks(samples, threads)
         args = [(spec, p, cap, rng_seed, experiment, lo, hi) for lo, hi in blocks]
@@ -331,6 +337,7 @@ def crossing_probability(p: float, nx: int, ny: int, samples: int,
     """
     if nx < 2 or ny < 1:
         raise ValueError("box must be at least 2 x 1 vertices")
+    _check_sampling(p, samples)
     n_h = (nx - 1) * ny
     n_v = nx * (ny - 1)
     successes = 0

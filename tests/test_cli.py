@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 import percolab
 import percolab.exact
-from percolab.cli import LATTICES, main
+from percolab.cli import LATTICES, build_parser, main
 from percolab.exact import exact_magnetization, psi_table
 from percolab.lattices import build_ball
 
@@ -74,6 +75,19 @@ def test_p_outside_the_unit_interval_is_a_usage_error(tmp_path, command):
     out = tmp_path / "out"
     assert main([command, "--lattice", "z1", "--radius", "1", "--p", "1.5",
                  "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--lattice", "z2", "--n-max", "60", "--samples", "50"],
+    ["meanfield", "--cap", "500", "--samples", "30"],
+    ["verify-tail-bound-mc", "--lattice", "z2", "--n-max", "20", "--samples", "50",
+     "--cap", "500"],
+], ids=lambda argv: argv[0])
+def test_monte_carlo_p_outside_the_unit_interval_is_a_usage_error(tmp_path, argv):
+    # an edge opens with probability p, so p = 1.5 would run as p = 1 and pass
+    out = tmp_path / "out"
+    assert main(argv + ["--p", "1.5", "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -240,7 +254,7 @@ def test_config_values_are_validated_like_flags(tmp_path):
     ("verify-domination", {"threads": 4}),
     ("verify-tail-bound", {"mode": "mc"}),
     ("verify-tail-bound-mc", {"mode": "mc"}),
-], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+], ids=["verify-domination", "verify-tail-bound", "verify-tail-bound-mc"])
 def test_config_keys_that_name_no_flag_are_usage_errors(tmp_path, command, key):
     # the same value as a flag exits 2, so as a config key it may not be
     # dropped and the run go on
@@ -248,8 +262,25 @@ def test_config_keys_that_name_no_flag_are_usage_errors(tmp_path, command, key):
     cfg.write_text(json.dumps(key))
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main([command, "--lattice", "z1", "--config", str(cfg), "--out", str(out)])
+        main([command, "--lattice", "z1", "--p", "0.3", "--h", "0.2",
+              "--config", str(cfg), "--out", str(out)])
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-tail-bound-mc", "--n-max", "5"],
+    ["verify-tail-bound-mc", "--threads", "0"],
+    ["decay", "--threads", "0"],
+    ["meanfield", "--threads", "0"],
+])
+def test_integer_flags_below_their_minimum_are_usage_errors(tmp_path, capsys, argv):
+    # --n-max 5 would check no n and pass; --threads 0 would run serially
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: must be at least" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -258,6 +289,15 @@ def test_decay_rejects_short_fit_range_before_growing(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["decay", "--lattice", "z2", "--n-max", "40", "--out", str(out)])
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_decay_fit_failure_writes_nothing(tmp_path):
+    # on z1 at this sample count no tail past n = 20 is seen, so the fit has
+    # no points; the curve is not written without it
+    out = tmp_path / "decay"
+    assert main(["decay", "--p", "0.4", "--samples", "200", "--seed", "0",
+                 "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -297,6 +337,19 @@ def test_decay_threads_match_serial(tmp_path):
     assert main(args + ["--threads", "2", "--out", str(pooled)]) == 0
     for name in ("decay_curve.csv", "decay_fit.json"):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["meanfield", "--p", "0.55,0.8", "--cap", "1000", "--samples", "80"],
+     "meanfield.csv"),
+    (["verify-tail-bound-mc", "--lattice", "z2", "--n-max", "30", "--samples", "300",
+      "--cap", "2000"], "tail_bound.csv"),
+], ids=["meanfield", "verify-tail-bound-mc"])
+def test_threads_do_not_change_outputs(tmp_path, argv, name):
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main(argv + ["--seed", "5", "--out", str(serial)]) == 0
+    assert main(argv + ["--seed", "5", "--threads", "2", "--out", str(pooled)]) == 0
+    assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
 
 def test_exact_commands_reject_threads(tmp_path):
@@ -417,3 +470,24 @@ def test_cli_import_does_not_load_scipy():
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _readme_commands():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith("percolab ")]
+
+
+def test_readme_commands_parse():
+    # parse only: the commands stay in step with the parser's names and flags
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} >= {
+        "verify-domination", "verify-tail-bound", "verify-tail-bound-mc",
+        "decay", "meanfield", "couple-demo"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

@@ -156,6 +156,14 @@ def test_crossing_probe_at_reference_threshold():
     assert est.lo <= 0.5 <= est.hi
 
 
+@pytest.mark.parametrize("p, samples", [(1.7, 10), (-0.1, 10), (0.5, 0)])
+def test_crossing_probe_rejects_bad_p_and_samples(p, samples):
+    # the same checks as the cluster estimators, not a clipped p or a
+    # division by zero
+    with pytest.raises(ValueError):
+        crossing_probability(p, 3, 2, samples, rng_seed=0)
+
+
 def test_estimate_psi_on_ball_single_edge(single_edge_ball):
     est = estimate_psi_on_ball(single_edge_ball, 0.3, 2, 2000, rng_seed=3)
     assert est.lo <= 0.3 <= est.hi
