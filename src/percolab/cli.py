@@ -221,9 +221,8 @@ def cmd_verify_tail_bound(ns, out):
 def cmd_verify_tail_bound_mc(ns, out):
     """Tail inequality checked by Monte Carlo on the infinite lattice."""
     p, h = ns.p, ns.h
-    report = tail_bound_verdict(LATTICES[ns.lattice], p, h,
-                                list(range(10, ns.n_max + 1, 10)), ns.samples,
-                                ns.seed, cap=ns.cap, threads=ns.threads)
+    report = tail_bound_verdict(LATTICES[ns.lattice], p, h, range(10, ns.n_max + 1, 10),
+                                ns.samples, ns.seed, cap=ns.cap, threads=ns.threads)
     rows = [[p, h, r["n"], r["lhs"], r["lhs_hi"], r["psi_p"], r["rhs"], r["verdict"]]
             for r in report.rows]
     _write_csv(out("tail_bound.csv"),
