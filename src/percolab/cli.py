@@ -282,7 +282,7 @@ def _add_command(subs, name, func, help, threads=False, lattices=tuple(LATTICES)
     """Subparser for ``name`` with the flags every command shares, and
     ``--threads`` when the command grows clusters by Monte Carlo.
     ``--lattice`` takes one of ``lattices`` and defaults to the first."""
-    sub = subs.add_parser(name, help=help)
+    sub = subs.add_parser(name, help=help, allow_abbrev=False)
     sub.set_defaults(func=func)
     sub.add_argument("--lattice", choices=lattices, default=lattices[0])
     sub.add_argument("--seed", type=int, default=0,

@@ -87,8 +87,6 @@ def wilson_interval(successes: int, samples: int):
 def _normal_ci(values: np.ndarray):
     n = len(values)
     mean = float(values.mean())
-    if n < 2:
-        return mean, mean, mean
     sd = float(values.std(ddof=1))
     half = Z * sd / math.sqrt(n)
     return mean, max(0.0, mean - half), min(1.0, mean + half)
@@ -179,6 +177,8 @@ def estimate_magnetization(spec: LatticeSpec, p: float, h: float, cap: int,
         raise ValueError("cap must be at least 1")
     if h <= 0:
         raise ValueError("h must be positive")
+    if samples < 2:
+        raise ValueError("a magnetization interval needs at least 2 samples")
     eff_cap = min(cap, max(1, math.ceil(_SATURATION_LOG / h)))
     sizes, trunc = _collect_sizes(spec, p, eff_cap, samples, rng_seed, EXP_MAG, threads)
     low_stat = -np.expm1(-h * sizes)

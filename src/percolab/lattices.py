@@ -44,16 +44,12 @@ class LatticeSpec:
     tree_degree: int = 0
 
     def __post_init__(self):
-        if self.family == HYPERCUBIC:
-            if self.dimension < 1:
-                raise ValueError("hypercubic lattice needs dimension >= 1")
-        elif self.family == TRIANGULAR:
-            pass
-        elif self.family == REGULAR_TREE:
-            if self.tree_degree < 2:
-                raise ValueError("regular tree needs degree >= 2")
-        else:
+        if self.family not in (HYPERCUBIC, TRIANGULAR, REGULAR_TREE):
             raise ValueError(f"unknown lattice family: {self.family!r}")
+        if self.family == HYPERCUBIC and self.dimension < 1:
+            raise ValueError("hypercubic lattice needs dimension >= 1")
+        if self.family == REGULAR_TREE and self.tree_degree < 2:
+            raise ValueError("regular tree needs degree >= 2")
 
     @classmethod
     def hypercubic(cls, d: int) -> "LatticeSpec":
@@ -70,19 +66,25 @@ class LatticeSpec:
     @property
     def degree(self) -> int:
         """Common vertex degree of the lattice."""
-        if self.family == HYPERCUBIC:
-            return 2 * self.dimension
-        if self.family == TRIANGULAR:
-            return 6
-        return self.tree_degree
+        return len(incident_edges(self)(vertex_key(self, self.origin)))
 
-    @property
+    @functools.cached_property
     def origin(self) -> tuple:
+        return () if self.family == REGULAR_TREE else (0,) * len(self._layout[0])
+
+    @functools.cached_property
+    def _layout(self):
+        """(places, offsets): the one statement of a non-tree key encoding.
+
+        Coordinate i is signed base-_KEY_M digit ``places[i]`` of the vertex
+        key; ``offsets`` are the key steps of the positive directions, in
+        reveal order.  Cached on the spec, as growth reads it per replicate.
+        """
         if self.family == HYPERCUBIC:
-            return (0,) * self.dimension
-        if self.family == TRIANGULAR:
-            return (0, 0)
-        return ()
+            places = tuple(range(self.dimension))
+            return places, tuple(_KEY_M ** i for i in places)
+        # triangular: key a*_KEY_M + b; steps to (a, b+1), (a+1, b), (a+1, b-1)
+        return (1, 0), (1, _KEY_M, _KEY_M - 1)
 
 
 def lazy_neighbors(spec: LatticeSpec, v: tuple) -> list:
@@ -92,8 +94,7 @@ def lazy_neighbors(spec: LatticeSpec, v: tuple) -> list:
     Pure and symmetric: w in lazy_neighbors(v) iff v in lazy_neighbors(w).
     The result has exactly ``spec.degree`` entries.
     """
-    incident = incident_edges(spec)(vertex_key(spec, v))
-    return [key_to_coords(spec, w) for _, w in incident]
+    return [key_to_coords(spec, w) for _, w in incident_edges(spec)(vertex_key(spec, v))]
 
 
 class GraphBall:
@@ -140,37 +141,39 @@ def build_ball(spec: LatticeSpec, n: int,
                max_vertices: int = DEFAULT_MAX_BALL_VERTICES) -> GraphBall:
     """Construct the radius-``n`` ball of the lattice around the origin.
 
-    Raises CapExceeded when the ball would exceed ``max_vertices`` vertices,
-    which also keeps edge indices within a 32-bit range.
+    Raises CapExceeded when the ball would exceed ``max_vertices`` vertices
+    (which keeps edge indices 32-bit) or leave the key encoding range.
     """
     if n < 0:
         raise ValueError("radius must be nonnegative")
-    o = spec.origin
-    dist = {o: 0}
-    frontier = deque([o])
+    if spec.family != REGULAR_TREE and n >= _KEY_HALF:
+        raise CapExceeded("coordinate exceeds the key encoding range")
+    incident = incident_edges(spec)
+    dist = {vertex_key(spec, spec.origin): 0}
+    frontier = deque(dist)
     while frontier:
         v = frontier.popleft()
         if dist[v] == n:
             continue
-        for w in lazy_neighbors(spec, v):
+        for _, w in incident(v):
             if w not in dist:
                 if len(dist) >= max_vertices:
                     raise CapExceeded(
                         f"ball of radius {n} exceeds {max_vertices} vertices")
                 dist[w] = dist[v] + 1
                 frontier.append(w)
-    vertices = sorted(dist, key=lambda v: (dist[v], v))
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = set()
-    for v, i in index.items():
-        for w in lazy_neighbors(spec, v):
+    order = sorted((d, key_to_coords(spec, k), k) for k, d in dist.items())
+    index = {k: i for i, (_, _, k) in enumerate(order)}
+    edges = []
+    for k, i in index.items():
+        for _, w in incident(k):
             j = index.get(w)
             if j is not None and i < j:
-                edges.add((i, j))
-    edges = sorted(edges)
+                edges.append((i, j))
+    edges.sort()
     if len(edges) > (1 << 31):
         raise CapExceeded("edge count overflows the 32-bit index width")
-    return GraphBall(spec, n, vertices, edges, [dist[v] for v in vertices])
+    return GraphBall(spec, n, [v for _, v, _ in order], edges, [d for d, _, _ in order])
 
 
 def ball_to_json(ball: GraphBall) -> dict:
@@ -189,8 +192,7 @@ def ball_to_json(ball: GraphBall) -> dict:
 
 # ---------------------------------------------------------------------------
 # Integer key encodings shared by the lazy growth kernel and ball
-# construction (through lazy_neighbors).  Vertex keys are injective for
-# coordinates below _KEY_HALF;
+# construction.  Vertex keys are injective for coordinates below _KEY_HALF;
 # edge keys are (canonical endpoint key) * (#positive directions) + direction.
 # ---------------------------------------------------------------------------
 
@@ -217,10 +219,7 @@ def incident_edges(spec: LatticeSpec):
             return out
 
         return incident
-    if spec.family == HYPERCUBIC:
-        offsets = [_KEY_M ** i for i in range(spec.dimension)]
-    else:  # triangular: (a, b+1), (a+1, b), (a+1, b-1)
-        offsets = [1, _KEY_M, _KEY_M - 1]
+    offsets = spec._layout[1]
     ndir = len(offsets)
     directions = tuple(enumerate(offsets))
 
@@ -235,43 +234,32 @@ def incident_edges(spec: LatticeSpec):
 
 
 def vertex_key(spec: LatticeSpec, v: tuple) -> int:
-    if spec.family == HYPERCUBIC:
-        k = 0
-        for i, c in enumerate(v):
-            if abs(c) >= _KEY_HALF:
-                raise CapExceeded("coordinate exceeds the key encoding range")
-            k += c * (_KEY_M ** i)
+    if spec.family == REGULAR_TREE:
+        # positional digits base (degree + 1), root key 1
+        base = spec.tree_degree + 1
+        k = 1
+        for c in v:
+            k = k * base + c + 1
         return k
-    if spec.family == TRIANGULAR:
-        a, b = v
-        if abs(a) >= _KEY_HALF or abs(b) >= _KEY_HALF:
+    k = 0
+    for place, c in zip(spec._layout[0], v):
+        if abs(c) >= _KEY_HALF:
             raise CapExceeded("coordinate exceeds the key encoding range")
-        return a * _KEY_M + b
-    # Tree: positional digits base (degree + 1), root key 1.
-    base = spec.tree_degree + 1
-    k = 1
-    for c in v:
-        k = k * base + c + 1
+        k += c * _KEY_M ** place
     return k
 
 
 def key_to_coords(spec: LatticeSpec, key: int) -> tuple:
-    if spec.family == HYPERCUBIC:
-        coords = []
-        k = key
-        for _ in range(spec.dimension):
-            c = ((k + _KEY_HALF) % _KEY_M) - _KEY_HALF
-            coords.append(c)
-            k = (k - c) // _KEY_M
-        return tuple(coords)
-    if spec.family == TRIANGULAR:
-        b = ((key + _KEY_HALF) % _KEY_M) - _KEY_HALF
-        a = (key - b) // _KEY_M
-        return (a, b)
-    base = spec.tree_degree + 1
     digits = []
-    k = key
-    while k > 1:
-        digits.append(k % base - 1)
-        k //= base
-    return tuple(reversed(digits))
+    if spec.family == REGULAR_TREE:
+        base = spec.tree_degree + 1
+        while key > 1:
+            digits.append(key % base - 1)
+            key //= base
+        return tuple(reversed(digits))
+    places = spec._layout[0]
+    for _ in places:
+        c = ((key + _KEY_HALF) % _KEY_M) - _KEY_HALF
+        digits.append(c)
+        key = (key - c) // _KEY_M
+    return tuple(digits[i] for i in places)

@@ -3,13 +3,17 @@
 They live outside the test suite, so a name cut from percolab would break
 them without any other test failing.  The benchmark files are read, never
 changed: the demos and perfbench are parsed, and perfbench/tracer.py is
-loaded to read its wrapped attributes.
+loaded to read its wrapped attributes.  The fast demos are also run, since
+a demo can break at run time with every name it reaches still present.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,14 @@ def test_tracer_wrapped_attributes_exist():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in pairs
                if not hasattr(owner, attr)]
     assert not missing, f"perfbench/tracer.py wraps missing attributes: {missing}"
+
+
+# decay_and_meanfield.py and tail_bound_mc.py take 15-25 s each, so only the
+# fast demos are run here
+@pytest.mark.parametrize("name", ["ball_gallery.py", "cluster_growth.py",
+                                  "coupling_audit.py", "domination_certificates.py"])
+def test_fast_demos_run(name):
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

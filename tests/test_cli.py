@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import percolab
+import percolab.estimators
 import percolab.exact
 from percolab.cli import LATTICES, build_parser, main
+from percolab.estimators import EstimateCI, tail_bound_verdict
 from percolab.exact import exact_magnetization, psi_table
 from percolab.lattices import build_ball
 
@@ -166,6 +168,18 @@ def test_meanfield_command(tmp_path):
     assert all(line.endswith("PASS") for line in rows[1:])
 
 
+@pytest.mark.parametrize("argv", [
+    ["meanfield", "--p", "0.55,0.9", "--samples", "1"],
+    ["verify-tail-bound-mc", "--lattice", "z2", "--p", "0.3", "--h", "0.2",
+     "--n-max", "20", "--samples", "1"],
+], ids=lambda argv: argv[0])
+def test_magnetization_commands_need_two_samples(tmp_path, argv):
+    # one draw gives a zero-width interval, so the verdicts would mean nothing
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_meanfield_runs_on_the_square_lattice_only(tmp_path):
     # its reference threshold is the square lattice's, so z2 is the default
     out = tmp_path / "mf"
@@ -264,6 +278,23 @@ def test_config_keys_that_name_no_flag_are_usage_errors(tmp_path, command, key):
     with pytest.raises(SystemExit) as exc:
         main([command, "--lattice", "z1", "--p", "0.3", "--h", "0.2",
               "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_abbreviated_flags_and_config_keys_are_usage_errors(tmp_path, form):
+    # argparse would take --rad for --radius; flags and keys are spelled in full
+    argv = ["verify-tail-bound", "--lattice", "z1", "--p", "0.3", "--h", "0.2"]
+    if form == "flag":
+        argv += ["--rad", "1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rad": 1}))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
 
@@ -412,6 +443,24 @@ def test_verify_tail_bound_records_and_replays_only_read_flags(tmp_path, argv, u
         main([argv[0], "--config", str(old), "--out", str(stale)])
     assert exc.value.code == 2
     assert not stale.exists()
+
+
+def test_verify_tail_bound_mc_fails_when_the_left_side_lies_above(tmp_path, monkeypatch):
+    # psi at p is faked to 0 and psi at q = p(1 - m_lo) < p to 0.5, so each
+    # left interval lies wholly above its right side
+    def psi_curve(spec, p, n_list, samples, *args, **kwargs):
+        v = 0.0 if p == 0.3 else 0.5
+        return {n: EstimateCI(v, v, v, samples) for n in n_list}
+
+    monkeypatch.setattr(percolab.estimators, "psi_curve", psi_curve)
+    report = tail_bound_verdict(LATTICES["z2"], 0.3, 0.2, [10, 20], 1500, 0, cap=2000)
+    assert report.verdicts == ("FAIL", "FAIL")
+    assert report.failed
+    out = tmp_path / "fail"
+    assert main(TAIL_MC + ["--out", str(out)]) == 1
+    rows = (out / "tail_bound.csv").read_text().splitlines()
+    assert len(rows) == 3 and all(row.endswith(",FAIL") for row in rows[1:])
+    assert "tail_bound.csv" in _read_json(out / "manifest.json")["outputs"]
 
 
 def test_verify_domination_labels_each_configuration_once(tmp_path, monkeypatch):

@@ -83,6 +83,12 @@ def test_magnetization_gap_bound(z2):
     assert mag.effective_cap <= 500
 
 
+def test_magnetization_needs_two_samples(z2):
+    # one draw has no spread, so its interval would have zero width
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        estimate_magnetization(z2, 0.5, 0.1, cap=100, samples=1, rng_seed=0)
+
+
 def test_magnetization_monotone_in_p_and_h(z2):
     # common random numbers: the coupled estimates are ordered pointwise
     m1 = estimate_magnetization(z2, 0.30, 0.2, 200, 400, rng_seed=8)

@@ -7,6 +7,7 @@ from percolab.lattices import (
     LatticeSpec,
     ball_to_json,
     build_ball,
+    incident_edges,
     key_to_coords,
     lazy_neighbors,
     vertex_key,
@@ -115,6 +116,13 @@ def test_ball_cap_rejected(z2):
         build_ball(z2, 100, max_vertices=50)
 
 
+def test_ball_radius_beyond_the_key_range_rejected():
+    # coordinates at or past _KEY_HALF would wrap into other vertices' keys,
+    # so the radius is refused before any vertex is visited
+    with pytest.raises(CapExceeded):
+        build_ball(LatticeSpec.hypercubic(1), 2**21, max_vertices=10**7)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         LatticeSpec.hypercubic(0)
@@ -165,3 +173,47 @@ def test_edge_keys_unique_and_symmetric(spec, n):
         assert k == edge_key(spec, vb, va)
         keys.add(k)
     assert len(keys) == ball.n_edges
+
+
+# Keys fix every seeded uniform, so these values are pinned literally: a
+# change to any encoding moves every seeded output.
+PINNED_KEYS = [
+    (LatticeSpec.hypercubic(1), (0,), 0, [(0, 1), (-1, -1)]),
+    (LatticeSpec.hypercubic(1), (-3,), -3, [(-3, -2), (-4, -4)]),
+    (LatticeSpec.hypercubic(2), (0, 0), 0,
+     [(0, 1), (-2, -1), (1, 4194304), (-8388607, -4194304)]),
+    (LatticeSpec.hypercubic(2), (2, -1), -4194302,
+     [(-8388604, -4194301), (-8388606, -4194303), (-8388603, 2),
+      (-16777211, -8388606)]),
+    (LatticeSpec.hypercubic(3), (1, -2, 3), 52776549744641,
+     [(158329649233923, 52776549744642), (158329649233920, 52776549744640),
+      (158329649233924, 52776553938945), (158329636651012, 52776545550337),
+      (158329649233925, 70368735789057), (105553091100677, 35184363700225)]),
+    (LatticeSpec.hypercubic(4), (0, 0, 0, -1), -73786976294838206464,
+     [(-295147905179352825856, -73786976294838206463),
+      (-295147905179352825860, -73786976294838206465),
+      (-295147905179352825855, -73786976294834012160),
+      (-295147905179369603071, -73786976294842400768),
+      (-295147905179352825854, -73786958702652162048),
+      (-295147975548097003518, -73786993887024250880),
+      (-295147905179352825853, 0),
+      (-590295810358705651709, -147573952589676412928)]),
+    (LatticeSpec.triangular(), (0, 0), 0,
+     [(0, 1), (-3, -1), (1, 4194304), (-12582911, -4194304), (2, 4194303),
+      (-12582907, -4194303)]),
+    (LatticeSpec.triangular(), (2, -1), 8388607,
+     [(25165821, 8388608), (25165818, 8388606), (25165822, 12582911),
+      (12582910, 4194303), (25165823, 12582910), (12582914, 4194304)]),
+    (LatticeSpec.regular_tree(3), (), 1, [(5, 5), (6, 6), (7, 7)]),
+    (LatticeSpec.regular_tree(3), (2,), 7, [(7, 1), (29, 29), (30, 30)]),
+    (LatticeSpec.regular_tree(3), (1, 0), 25, [(25, 6), (101, 101), (102, 102)]),
+]
+
+
+@pytest.mark.parametrize("spec,coords,key,incident", PINNED_KEYS, ids=[
+    f"{s.family}{s.dimension or s.tree_degree or ''}-{','.join(map(str, v))}"
+    for s, v, _, _ in PINNED_KEYS])
+def test_vertex_and_edge_keys_are_pinned(spec, coords, key, incident):
+    assert vertex_key(spec, coords) == key
+    assert incident_edges(spec)(key) == incident
+    assert key_to_coords(spec, key) == coords
