@@ -24,7 +24,6 @@ from .estimators import (
     crossing_probability,
     decay_fit,
     estimate_magnetization,
-    estimate_psi,
     meanfield_verdict,
     psi_curve,
     tail_bound_verdict,

@@ -65,7 +65,6 @@ class MagnetizationInterval:
 
     lower: EstimateCI
     upper: EstimateCI
-    cap: int
     effective_cap: int
 
 
@@ -132,21 +131,14 @@ def _sizes_block(args):
     return sizes, trunc
 
 
-def estimate_psi(spec: LatticeSpec, p: float, n: int, samples: int,
-                 rng_seed: int, threads: int = 1) -> EstimateCI:
-    """Estimate P(|origin cluster| >= n) by growing capped clusters."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return psi_curve(spec, p, [n], samples, rng_seed, threads)[n]
-
-
 def psi_curve(spec: LatticeSpec, p: float, n_list, samples: int,
               rng_seed: int, threads: int = 1) -> dict:
-    """Estimate the whole tail curve from one batch grown to max(n_list).
+    """Estimate psi_n = P(|origin cluster| >= n) for each n in ``n_list``.
 
-    Each replicate's capped size decides the indicator {size >= n} exactly
-    for every n up to the cap, so a single batch yields a marginally valid
-    Wilson interval at each n (the estimates share randomness across n).
+    One batch is grown to max(n_list): each replicate's capped size decides
+    {size >= n} exactly for every n up to the cap, so the batch yields a
+    marginally valid Wilson interval at each n, keyed by n (the estimates
+    share randomness across n).
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list:
@@ -173,8 +165,6 @@ def estimate_magnetization(spec: LatticeSpec, p: float, h: float, cap: int,
     runs scored as 1) a valid overestimate, while keeping supercritical runs
     cheap.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     if h <= 0:
         raise ValueError("h must be positive")
     if samples < 2:
@@ -186,7 +176,7 @@ def estimate_magnetization(spec: LatticeSpec, p: float, h: float, cap: int,
     tf = float(trunc.mean())
     lower = EstimateCI(*_normal_ci(low_stat), samples, tf)
     upper = EstimateCI(*_normal_ci(up_stat), samples, tf)
-    return MagnetizationInterval(lower, upper, cap, eff_cap)
+    return MagnetizationInterval(lower, upper, eff_cap)
 
 
 @dataclass(frozen=True)
@@ -276,12 +266,7 @@ def decay_fit(psi_table) -> DecayFit:
         if est.lo > 0.0 and est.hi > est.lo else 0.0
         for _, est in pts
     ])
-    if np.all(widths == 0.0):
-        w = np.ones_like(x)
-        known_var = False
-    else:
-        w = 1.0 / np.maximum(widths, 1e-12) ** 2
-        known_var = True
+    w = 1.0 / np.maximum(widths, 1e-12) ** 2
     sw = w.sum()
     xb = float((w * x).sum() / sw)
     yb = float((w * y).sum() / sw)
@@ -292,11 +277,7 @@ def decay_fit(psi_table) -> DecayFit:
     ss_res = float((w * resid ** 2).sum())
     ss_tot = float((w * (y - yb) ** 2).sum())
     r2 = 1.0 if ss_tot <= 1e-30 else 1.0 - ss_res / ss_tot
-    if known_var:
-        se = math.sqrt(1.0 / sxx)
-    else:
-        dof = max(len(pts) - 2, 1)
-        se = math.sqrt(max(ss_res / dof, 0.0) / sxx)
+    se = math.sqrt(1.0 / sxx)
     rate = -slope
     return DecayFit(rate, math.exp(intercept), r2, se,
                     rate - Z * se, rate + Z * se, len(pts))

@@ -27,7 +27,7 @@ REGULAR_TREE = "regular_tree"
 _KEY_M = 1 << 22
 _KEY_HALF = _KEY_M >> 1
 
-DEFAULT_MAX_BALL_VERTICES = 2_000_000
+MAX_BALL_VERTICES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,12 @@ class GraphBall:
                 f"|V|={self.n_vertices}, |E|={self.n_edges})")
 
 
-def build_ball(spec: LatticeSpec, n: int,
-               max_vertices: int = DEFAULT_MAX_BALL_VERTICES) -> GraphBall:
+def build_ball(spec: LatticeSpec, n: int) -> GraphBall:
     """Construct the radius-``n`` ball of the lattice around the origin.
 
-    Raises CapExceeded when the ball would exceed ``max_vertices`` vertices
-    (which keeps edge indices 32-bit) or leave the key encoding range.
+    Raises CapExceeded when the ball would exceed ``MAX_BALL_VERTICES``
+    vertices (which keeps edge indices 32-bit) or leave the key encoding
+    range.
     """
     if n < 0:
         raise ValueError("radius must be nonnegative")
@@ -157,9 +157,9 @@ def build_ball(spec: LatticeSpec, n: int,
             continue
         for _, w in incident(v):
             if w not in dist:
-                if len(dist) >= max_vertices:
+                if len(dist) >= MAX_BALL_VERTICES:
                     raise CapExceeded(
-                        f"ball of radius {n} exceeds {max_vertices} vertices")
+                        f"ball of radius {n} exceeds {MAX_BALL_VERTICES} vertices")
                 dist[w] = dist[v] + 1
                 frontier.append(w)
     order = sorted((d, key_to_coords(spec, k), k) for k, d in dist.items())

@@ -11,7 +11,6 @@ from percolab.estimators import (
     crossing_probability,
     decay_fit,
     estimate_magnetization,
-    estimate_psi,
     meanfield_verdict,
     psi_curve,
     tail_bound_verdict,
@@ -37,15 +36,15 @@ def test_wilson_interval_edges():
 
 
 def test_estimate_psi_trivial(z1, z2):
-    est = estimate_psi(z2, 0.37, 1, 200, rng_seed=1)
+    est = psi_curve(z2, 0.37, [1], 200, rng_seed=1)[1]
     assert est.point == 1.0 and est.hi == pytest.approx(1.0)
-    est = estimate_psi(z2, 0.0, 2, 200, rng_seed=1)
+    est = psi_curve(z2, 0.0, [2], 200, rng_seed=1)[2]
     assert est.point == 0.0 and est.lo == 0.0
 
 
 def test_estimate_psi_z1_exact_value(z1):
     # P(|cluster| >= 2) = 1 - (1-p)^2 = 3/4 on the line at p = 1/2
-    est = estimate_psi(z1, 0.5, 2, 100_000, rng_seed=7)
+    est = psi_curve(z1, 0.5, [2], 100_000, rng_seed=7)[2]
     assert est.lo <= 0.75 <= est.hi
 
 

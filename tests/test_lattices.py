@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from percolab import lattices
 from percolab.errors import CapExceeded
 from percolab.lattices import (
     LatticeSpec,
@@ -111,16 +112,17 @@ def test_lazy_agrees_with_ball_adjacency(z2):
             assert ball_nbrs == set(lazy_neighbors(z2, ball.vertices[v]))
 
 
-def test_ball_cap_rejected(z2):
+def test_ball_cap_rejected(z2, monkeypatch):
+    monkeypatch.setattr(lattices, "MAX_BALL_VERTICES", 50)
     with pytest.raises(CapExceeded):
-        build_ball(z2, 100, max_vertices=50)
+        build_ball(z2, 100)
 
 
 def test_ball_radius_beyond_the_key_range_rejected():
     # coordinates at or past _KEY_HALF would wrap into other vertices' keys,
     # so the radius is refused before any vertex is visited
-    with pytest.raises(CapExceeded):
-        build_ball(LatticeSpec.hypercubic(1), 2**21, max_vertices=10**7)
+    with pytest.raises(CapExceeded, match="key encoding range"):
+        build_ball(LatticeSpec.hypercubic(1), 2**21)
 
 
 def test_spec_validation():
