@@ -78,8 +78,8 @@ def _float_grid(text):
     return text
 
 
-def _int_at_least(minimum):
-    """argparse type of an integer flag that must be at least ``minimum``."""
+def _int_at_least(minimum, maximum=math.inf):
+    """argparse type of an integer flag in [``minimum``, ``maximum``]."""
     def parse(text):
         try:
             value = int(text)
@@ -87,6 +87,8 @@ def _int_at_least(minimum):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}")
         return value
     return parse
 
@@ -285,7 +287,7 @@ def _add_command(subs, name, func, help, threads=False, lattices=tuple(LATTICES)
     sub = subs.add_parser(name, help=help, allow_abbrev=False)
     sub.set_defaults(func=func)
     sub.add_argument("--lattice", choices=lattices, default=lattices[0])
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=_int_at_least(0, 2**64 - 1), default=0,
                      help="64-bit master seed for all randomness")
     sub.add_argument("--out", default="percolab-out",
                      help="output directory for CSV/JSON artifacts")
@@ -329,6 +331,8 @@ def build_parser():
 
     s = _add_command(subs, "decay", cmd_decay, "tail curve and exponential fit",
                      threads=True)
+    # on z1 the default p and samples see too few large clusters to fit
+    s.set_defaults(lattice="z2")
     s.add_argument("--p", type=float, default=0.4)
     s.add_argument("--n-max", dest="n_max", type=_int_at_least(DECAY_N_MAX_MIN),
                    default=120)

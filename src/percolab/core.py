@@ -29,7 +29,7 @@ class ClusterResult:
     """The origin's open cluster.
 
     members: vertex indices (finite ball) or coordinate tuples (lazy growth).
-    truncated: growth stopped at the size cap before the cluster was maximal.
+    truncated: the cluster reached the size cap; it may be maximal all the same.
     """
 
     members: frozenset
@@ -62,7 +62,7 @@ def cluster_of_origin(ball: GraphBall, config: np.ndarray) -> ClusterResult:
 
 def _grow(spec, p, cap, rkey):
     """Member keys of the origin's cluster, grown depth-first until it is
-    maximal or has ``cap`` vertices, and whether the cap stopped it.
+    maximal or has ``cap`` vertices, and whether it reached ``cap``.
 
     An edge into the cluster is never drawn: its uniform is a pure function
     of the edge, so skipping it changes nothing but the work.
@@ -90,7 +90,7 @@ def _grow(spec, p, cap, rkey):
 def grow_cluster_size(spec: LatticeSpec, p: float, cap: int, rkey: int):
     """Grow the origin's cluster; return (size, truncated).
 
-    Stops as soon as the cluster is maximal or reaches ``cap`` vertices.
+    Stops at a maximal cluster or at ``cap`` vertices; ``truncated`` means it hit ``cap``.
     """
     members, truncated = _grow(spec, p, cap, rkey)
     return len(members), truncated

@@ -105,7 +105,7 @@ def _collect_sizes(spec, p, cap, samples, rng_seed, experiment, threads=1):
         blocks = _split_blocks(samples, threads)
         args = [(spec, p, cap, rng_seed, experiment, lo, hi) for lo, hi in blocks]
         try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
                 parts = list(pool.map(_sizes_block, args))
             sizes = np.concatenate([s for s, _ in parts])
             trunc = np.concatenate([t for _, t in parts])
@@ -131,6 +131,14 @@ def _sizes_block(args):
     return sizes, trunc
 
 
+def _n_values(n_list):
+    """The distinct sizes in ``n_list``, increasing; there must be one."""
+    n_list = sorted(set(int(n) for n in n_list))
+    if not n_list:
+        raise ValueError("n_list names no size")
+    return n_list
+
+
 def psi_curve(spec: LatticeSpec, p: float, n_list, samples: int,
               rng_seed: int, threads: int = 1) -> dict:
     """Estimate psi_n = P(|origin cluster| >= n) for each n in ``n_list``.
@@ -140,9 +148,7 @@ def psi_curve(spec: LatticeSpec, p: float, n_list, samples: int,
     marginally valid Wilson interval at each n, keyed by n (the estimates
     share randomness across n).
     """
-    n_list = sorted(set(int(n) for n in n_list))
-    if not n_list:
-        return {}
+    n_list = _n_values(n_list)
     cap = max(max(n_list), 1)
     sizes, trunc = _collect_sizes(spec, p, cap, samples, rng_seed, EXP_PSI, threads)
     trunc_frac = float(trunc.mean())
@@ -213,12 +219,12 @@ def tail_bound_verdict(spec: LatticeSpec, p: float, h: float, n_list,
     below that inflated right side; FAIL means the left interval lies
     entirely above it; anything straddling is MARGINAL.
     """
+    n_list = _n_values(n_list)
     mag = estimate_magnetization(spec, p, h, cap, samples, rng_seed, threads)
     m_lo = mag.lower.lo
     m_hi = min(mag.upper.hi, 1.0 - 1e-12)
     q = p * (1.0 - m_lo)
     q_alt = p * (1.0 - m_hi)
-    n_list = sorted(set(int(n) for n in n_list))
     psi_q = psi_curve(spec, q, n_list, samples, rng_seed, threads)
     psi_p = psi_curve(spec, p, n_list, samples, rng_seed, threads)
     rows = []

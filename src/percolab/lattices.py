@@ -92,8 +92,17 @@ def lazy_neighbors(spec: LatticeSpec, v: tuple) -> list:
     reveal order of ``incident_edges``.
 
     Pure and symmetric: w in lazy_neighbors(v) iff v in lazy_neighbors(w).
-    The result has exactly ``spec.degree`` entries.
+    The result has exactly ``spec.degree`` entries.  Raises ValueError when
+    ``v`` names no vertex, or one whose neighbours leave the key range.
     """
+    if spec.family == REGULAR_TREE:
+        # digit i picks a child: the root has r children, other vertices r - 1
+        r = spec.tree_degree
+        ok = all(0 <= c < (r if i == 0 else r - 1) for i, c in enumerate(v))
+    else:
+        ok = len(v) == len(spec.origin) and all(abs(c) <= _KEY_HALF - 2 for c in v)
+    if not ok:
+        raise ValueError(f"{tuple(v)} is no {spec.family} vertex in the key range")
     return [key_to_coords(spec, w) for _, w in incident_edges(spec)(vertex_key(spec, v))]
 
 

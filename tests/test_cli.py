@@ -315,6 +315,31 @@ def test_integer_flags_below_their_minimum_are_usage_errors(tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-domination"],
+    ["verify-tail-bound"],
+    ["verify-tail-bound-mc", "--samples", "2000"],
+    ["decay", "--samples", "10000"],
+    ["meanfield", "--samples", "200"],
+    ["couple-demo"],
+], ids=lambda argv: argv[0])
+def test_every_command_passes_at_its_defaults(tmp_path, argv):
+    # only --samples is lowered, to keep the run short
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, seed):
+    # seeds act modulo 2^64, so -1 and 2^64 - 1 would write the same outputs
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--samples", "10000", "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at" in capsys.readouterr().err
+    assert not out.exists()
+    assert build_parser().parse_args(["decay", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
+
+
 def test_decay_rejects_short_fit_range_before_growing(tmp_path):
     out = tmp_path / "short"
     with pytest.raises(SystemExit) as exc:
@@ -327,8 +352,8 @@ def test_decay_fit_failure_writes_nothing(tmp_path):
     # on z1 at this sample count no tail past n = 20 is seen, so the fit has
     # no points; the curve is not written without it
     out = tmp_path / "decay"
-    assert main(["decay", "--p", "0.4", "--samples", "200", "--seed", "0",
-                 "--out", str(out)]) == 2
+    assert main(["decay", "--lattice", "z1", "--p", "0.4", "--samples", "200",
+                 "--seed", "0", "--out", str(out)]) == 2
     assert not out.exists()
 
 

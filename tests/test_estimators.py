@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import percolab.estimators
 from percolab.estimators import (
     DEFAULT_CONFIDENCE,
     Z,
@@ -140,6 +141,42 @@ def test_tail_bound_tiny_h_near_identity(z2):
                                 cap=5000)
     assert not report.failed
     assert report.q >= 0.2
+
+
+def test_empty_n_list_is_rejected_before_any_growth(z2, monkeypatch):
+    # an empty list would check nothing, and the tail bound would pass
+    def no_growth(*args):
+        raise AssertionError("grew a cluster")
+    monkeypatch.setattr(percolab.estimators, "grow_cluster_size", no_growth)
+    with pytest.raises(ValueError, match="n_list"):
+        psi_curve(z2, 0.4, [], 100, rng_seed=1)
+    with pytest.raises(ValueError, match="n_list"):
+        tail_bound_verdict(z2, 0.4, 0.1, [], 100, rng_seed=1)
+
+
+def test_pool_starts_one_worker_per_block(z2, monkeypatch):
+    # fork starts every worker on the first submit, so an idle one is a
+    # wasted process; the stand-in runs the blocks serially and starts none
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(percolab.estimators, "ProcessPoolExecutor", SerialPool)
+    serial = psi_curve(z2, 0.4, [1, 3], 3, rng_seed=2)
+    assert psi_curve(z2, 0.4, [1, 3], 3, rng_seed=2, threads=8) == serial
+    assert psi_curve(z2, 0.4, [1, 3], 3, rng_seed=2, threads=2) == serial
+    assert sizes == [3, 2]
 
 
 def test_meanfield_requires_z2(z1):

@@ -104,6 +104,26 @@ def test_lazy_neighbors_symmetric(spec):
             assert len(lazy_neighbors(spec, w)) == spec.degree
 
 
+@pytest.mark.parametrize("spec, v", [
+    (LatticeSpec.hypercubic(2), (1,)),
+    (LatticeSpec.triangular(), (0, 0, 5)),
+    (LatticeSpec.regular_tree(3), (5,)),
+    (LatticeSpec.regular_tree(3), (0, 2)),
+    (LatticeSpec.hypercubic(1), (2**21 - 1,)),
+], ids=["short", "long", "tree-root-digit", "tree-later-digit", "key-range"])
+def test_lazy_neighbors_rejects_coordinates_that_name_no_vertex(spec, v):
+    # each of these once aliased another vertex or returned a wrapped neighbour
+    with pytest.raises(ValueError):
+        lazy_neighbors(spec, v)
+
+
+def test_lazy_neighbors_at_the_key_range_edge():
+    assert lazy_neighbors(LatticeSpec.hypercubic(1), (2**21 - 2,)) == [
+        (2**21 - 1,), (2**21 - 3,)]
+    assert lazy_neighbors(LatticeSpec.regular_tree(3), (2, 1)) == [
+        (2,), (2, 1, 0), (2, 1, 1)]
+
+
 def test_lazy_agrees_with_ball_adjacency(z2):
     ball = build_ball(z2, 3)
     for v in range(ball.n_vertices):
