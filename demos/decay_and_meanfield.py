@@ -28,8 +28,7 @@ print(f"fit: psi_n ~ {fit.prefactor:.3f} * exp(-{fit.rate:.5f} n), "
       f"R^2 = {fit.r_squared:.4f}, rate CI [{fit.rate_lo:.5f}, {fit.rate_hi:.5f}]")
 
 print("\nreduced parameter vs the exact threshold 1/2 (h = 0.05):")
-rows = meanfield_verdict(spec, [0.55, 0.7, 0.9, 1.0], 0.05, cap=100_000,
-                         samples=400, rng_seed=5)
+rows = meanfield_verdict(spec, [0.55, 0.7, 0.9, 1.0], 0.05, samples=400, rng_seed=5)
 for r in rows:
     print(f"  p={r['p']:.2f}  m in [{r['m_lo']:.4f}, {r['m_hi']:.4f}]  "
           f"q_upper={r['q_upper']:.4f}  {r['verdict']}")

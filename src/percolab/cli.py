@@ -93,6 +93,13 @@ def _int_at_least(minimum, maximum=math.inf):
     return parse
 
 
+def _probability(text):
+    """argparse type of a flag that is a probability."""
+    if not 0.0 <= float(text) <= 1.0:
+        raise argparse.ArgumentTypeError("must lie in [0, 1]")
+    return float(text)
+
+
 def _write_json(path, payload):
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -104,13 +111,7 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return v
+            writer.writerow([format(v, ".12g") if isinstance(v, float) else v for v in row])
 
 
 def _digest(path):
@@ -224,7 +225,7 @@ def cmd_verify_tail_bound_mc(ns, out):
     """Tail inequality checked by Monte Carlo on the infinite lattice."""
     p, h = ns.p, ns.h
     report = tail_bound_verdict(LATTICES[ns.lattice], p, h, range(10, ns.n_max + 1, 10),
-                                ns.samples, ns.seed, cap=ns.cap, threads=ns.threads)
+                                ns.samples, ns.seed, threads=ns.threads)
     rows = [[p, h, r["n"], r["lhs"], r["lhs_hi"], r["psi_p"], r["rhs"], r["verdict"]]
             for r in report.rows]
     _write_csv(out("tail_bound.csv"),
@@ -255,8 +256,8 @@ def cmd_decay(ns, out):
 @_command
 def cmd_meanfield(ns, out):
     """Reduced-parameter check against the square lattice threshold."""
-    rows = meanfield_verdict(LATTICES[ns.lattice], _float_list(ns.p), ns.h, ns.cap,
-                             ns.samples, ns.seed, threads=ns.threads)
+    rows = meanfield_verdict(LATTICES[ns.lattice], _float_list(ns.p), ns.h, ns.samples,
+                             ns.seed, threads=ns.threads)
     table = [[r["p"], r["m_lo"], r["m_hi"], r["q_upper"], r["q_lower"],
               r["truncated_fraction"], r["verdict"]] for r in rows]
     _write_csv(out("meanfield.csv"),
@@ -310,7 +311,7 @@ def build_parser():
     s.add_argument("--radius", type=int, default=2)
     s.add_argument("--p", type=_float_grid, default=DEFAULT_P_GRID)
     s.add_argument("--h", type=_float_grid, default=DEFAULT_H_GRID)
-    s.add_argument("--q-override", dest="q_override", type=float, default=None,
+    s.add_argument("--q-override", dest="q_override", type=_probability, default=None,
                    help="test hook: replace q = p(1-eps*) in the certificate")
 
     s = _add_command(subs, "verify-tail-bound", cmd_verify_tail_bound,
@@ -326,8 +327,7 @@ def build_parser():
     s.add_argument("--h", type=float, default=0.1)
     # it checks n = 10, 20, ..., n_max
     s.add_argument("--n-max", dest="n_max", type=_int_at_least(10), default=100)
-    s.add_argument("--samples", type=int, default=10_000)
-    s.add_argument("--cap", type=int, default=100_000)
+    s.add_argument("--samples", type=_int_at_least(2), default=10_000)
 
     s = _add_command(subs, "decay", cmd_decay, "tail curve and exponential fit",
                      threads=True)
@@ -336,21 +336,20 @@ def build_parser():
     s.add_argument("--p", type=float, default=0.4)
     s.add_argument("--n-max", dest="n_max", type=_int_at_least(DECAY_N_MAX_MIN),
                    default=120)
-    s.add_argument("--samples", type=int, default=100_000)
+    s.add_argument("--samples", type=_int_at_least(1), default=100_000)
 
     s = _add_command(subs, "meanfield", cmd_meanfield,
                      "reduced parameter vs the square-lattice threshold",
                      threads=True, lattices=("z2",))
     s.add_argument("--p", type=_float_grid, default="0.55,0.6,0.7,0.8,0.9,1.0")
     s.add_argument("--h", type=float, default=0.05)
-    s.add_argument("--cap", type=int, default=100_000)
-    s.add_argument("--samples", type=int, default=2_000)
+    s.add_argument("--samples", type=_int_at_least(2), default=2_000)
 
     s = _add_command(subs, "couple-demo", cmd_couple_demo, "audit one coupled run")
     s.add_argument("--radius", type=int, default=1)
     s.add_argument("--p", type=float, default=0.5)
     s.add_argument("--h", type=float, default=0.5)
-    s.add_argument("--q-override", dest="q_override", type=float, default=None)
+    s.add_argument("--q-override", dest="q_override", type=_probability, default=None)
 
     return parser
 

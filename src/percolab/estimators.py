@@ -40,8 +40,10 @@ MEANFIELD_REFERENCE_PC = 0.5
 MEANFIELD_TOLERANCE = 0.01
 
 # Growth beyond this many multiples of 1/h changes 1 - e^{-h size} by less
-# than 1e-15, i.e. below double precision of the estimate itself.
+# than 1e-15, i.e. below double precision of the estimate itself.  It stops
+# at _MAX_MAGNETIZATION_CAP vertices all the same, which binds for h < 3.5e-4.
 _SATURATION_LOG = -math.log(1e-15)
+_MAX_MAGNETIZATION_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -99,20 +101,20 @@ def _check_sampling(p, samples):
 
 
 def _collect_sizes(spec, p, cap, samples, rng_seed, experiment, threads=1):
-    """Per-replicate cluster sizes (capped) and truncation flags."""
+    """Per-replicate cluster sizes (capped) and truncation flags, grown in at
+    most ``threads`` blocks: one block runs here, more run one per pool worker,
+    or here in turn when no process can be started."""
     _check_sampling(p, samples)
-    if threads > 1:
-        blocks = _split_blocks(samples, threads)
-        args = [(spec, p, cap, rng_seed, experiment, lo, hi) for lo, hi in blocks]
-        try:
-            with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-                parts = list(pool.map(_sizes_block, args))
-            sizes = np.concatenate([s for s, _ in parts])
-            trunc = np.concatenate([t for _, t in parts])
-            return sizes, trunc
-        except OSError:
-            pass  # no process support here; fall through to serial
-    return _sizes_block((spec, p, cap, rng_seed, experiment, 0, samples))
+    args = [(spec, p, cap, rng_seed, experiment, lo, hi)
+            for lo, hi in _split_blocks(samples, threads)]
+    if len(args) == 1:
+        return _sizes_block(args[0])
+    try:
+        with ProcessPoolExecutor(max_workers=len(args)) as pool:
+            parts = list(pool.map(_sizes_block, args))
+    except OSError:
+        parts = [_sizes_block(a) for a in args]
+    return np.concatenate([s for s, _ in parts]), np.concatenate([t for _, t in parts])
 
 
 def _split_blocks(n, k):
@@ -160,22 +162,21 @@ def psi_curve(spec: LatticeSpec, p: float, n_list, samples: int,
     return out
 
 
-def estimate_magnetization(spec: LatticeSpec, p: float, h: float, cap: int,
-                           samples: int, rng_seed: int,
-                           threads: int = 1) -> MagnetizationInterval:
+def estimate_magnetization(spec: LatticeSpec, p: float, h: float, samples: int,
+                           rng_seed: int, threads: int = 1) -> MagnetizationInterval:
     """Two-sided magnetization estimate from capped cluster growth.
 
-    Growth stops at min(cap, saturation size): beyond ~35/h vertices the
-    statistic 1 - e^{-h size} is within 1e-15 of 1, so stopping early leaves
-    the lower field a valid underestimate and the upper field (truncated
-    runs scored as 1) a valid overestimate, while keeping supercritical runs
-    cheap.
+    Growth stops at min(100,000, ceil(-ln(1e-15) / h)) vertices: beyond ~35/h
+    vertices the statistic 1 - e^{-h size} is within 1e-15 of 1, so stopping
+    early leaves the lower field a valid underestimate and the upper field
+    (truncated runs scored as 1) a valid overestimate, while keeping
+    supercritical runs cheap.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be positive")
     if samples < 2:
         raise ValueError("a magnetization interval needs at least 2 samples")
-    eff_cap = min(cap, max(1, math.ceil(_SATURATION_LOG / h)))
+    eff_cap = max(1, math.ceil(min(_MAX_MAGNETIZATION_CAP, _SATURATION_LOG / h)))
     sizes, trunc = _collect_sizes(spec, p, eff_cap, samples, rng_seed, EXP_MAG, threads)
     low_stat = -np.expm1(-h * sizes)
     up_stat = np.where(trunc, 1.0, low_stat)
@@ -208,8 +209,7 @@ class TailBoundReport:
 
 
 def tail_bound_verdict(spec: LatticeSpec, p: float, h: float, n_list,
-                       samples: int, rng_seed: int, cap: int = 100_000,
-                       threads: int = 1) -> TailBoundReport:
+                       samples: int, rng_seed: int, threads: int = 1) -> TailBoundReport:
     """Monte Carlo check of the tail inequality, adversarial at both ends.
 
     The reduced parameter is set from the magnetization interval's low end
@@ -220,7 +220,7 @@ def tail_bound_verdict(spec: LatticeSpec, p: float, h: float, n_list,
     entirely above it; anything straddling is MARGINAL.
     """
     n_list = _n_values(n_list)
-    mag = estimate_magnetization(spec, p, h, cap, samples, rng_seed, threads)
+    mag = estimate_magnetization(spec, p, h, samples, rng_seed, threads)
     m_lo = mag.lower.lo
     m_hi = min(mag.upper.hi, 1.0 - 1e-12)
     q = p * (1.0 - m_lo)
@@ -289,8 +289,8 @@ def decay_fit(psi_table) -> DecayFit:
                     rate - Z * se, rate + Z * se, len(pts))
 
 
-def meanfield_verdict(spec: LatticeSpec, p_list, h: float, cap: int,
-                      samples: int, rng_seed: int, threads: int = 1) -> list:
+def meanfield_verdict(spec: LatticeSpec, p_list, h: float, samples: int,
+                      rng_seed: int, threads: int = 1) -> list:
     """Check q = p(1 - m_h(p)) against the square lattice's known threshold.
 
     Only supports the two-dimensional hypercubic lattice, whose bond
@@ -302,7 +302,7 @@ def meanfield_verdict(spec: LatticeSpec, p_list, h: float, cap: int,
         raise ValueError("reference threshold is wired in for hypercubic d=2 only")
     rows = []
     for p in p_list:
-        mag = estimate_magnetization(spec, p, h, cap, samples, rng_seed, threads)
+        mag = estimate_magnetization(spec, p, h, samples, rng_seed, threads)
         q_upper = p * (1.0 - mag.lower.lo)
         q_lower = p * (1.0 - mag.upper.hi)
         verdict = ("PASS" if q_upper <= MEANFIELD_REFERENCE_PC + MEANFIELD_TOLERANCE

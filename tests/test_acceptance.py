@@ -188,13 +188,13 @@ def test_criterion_6_monte_carlo_tail_bound_square():
 def test_criterion_7_meanfield_reduced_parameter():
     spec = LatticeSpec.hypercubic(2)
     rows = meanfield_verdict(spec, [0.55, 0.6, 0.7, 0.8, 0.9, 1.0], 0.05,
-                             cap=100_000, samples=2_000, rng_seed=4242)
+                             samples=2_000, rng_seed=4242)
     worst = max(r["q_upper"] for r in rows)
     for r in rows:
         assert r["verdict"] == "PASS", r
         assert r["q_upper"] <= 0.5 + 0.01, r
     _verdict(7, True, f"q upper bound <= 0.51 for all p (worst {worst:.4f}; "
-                      f"reference threshold 1/2, h=0.05, cap=1e5)")
+                      f"reference threshold 1/2, h=0.05, growth cap 691)")
 
 
 @pytest.mark.slow

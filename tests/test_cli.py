@@ -65,10 +65,13 @@ def test_grid_flags_need_a_float(tmp_path, argv, grid):
      "--samples", "0"],
     ["meanfield", "--p", "0.6", "--samples", "0"],
 ])
-def test_samples_below_one_is_a_usage_error(tmp_path, argv):
+def test_samples_below_one_is_a_usage_error(tmp_path, capsys, argv):
     # exit 1 is kept for failed checks; no output is written
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --samples: must be at least" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -82,14 +85,27 @@ def test_p_outside_the_unit_interval_is_a_usage_error(tmp_path, command):
 
 @pytest.mark.parametrize("argv", [
     ["decay", "--lattice", "z2", "--n-max", "60", "--samples", "50"],
-    ["meanfield", "--cap", "500", "--samples", "30"],
-    ["verify-tail-bound-mc", "--lattice", "z2", "--n-max", "20", "--samples", "50",
-     "--cap", "500"],
+    ["meanfield", "--samples", "30"],
+    ["verify-tail-bound-mc", "--lattice", "z2", "--n-max", "20", "--samples", "50"],
 ], ids=lambda argv: argv[0])
 def test_monte_carlo_p_outside_the_unit_interval_is_a_usage_error(tmp_path, argv):
     # an edge opens with probability p, so p = 1.5 would run as p = 1 and pass
     out = tmp_path / "out"
     assert main(argv + ["--p", "1.5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify-domination", "couple-demo"])
+@pytest.mark.parametrize("q", ["1.5", "-0.1", "nan"])
+def test_q_override_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys,
+                                                               command, q):
+    # the error names the flag, not the p it would have been checked as
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--lattice", "z1", "--radius", "1", "--p", "0.5", "--h", "0.5",
+              "--q-override", q, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --q-override: must lie in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -142,7 +158,7 @@ def test_verify_tail_bound_mc(tmp_path):
     out = tmp_path / "tailmc"
     code = main(["verify-tail-bound-mc", "--lattice", "z2",
                  "--p", "0.3", "--h", "0.2", "--n-max", "20",
-                 "--samples", "1500", "--cap", "2000", "--out", str(out)])
+                 "--samples", "1500", "--out", str(out)])
     assert code == 0
     rows = (out / "tail_bound.csv").read_text().splitlines()
     assert len(rows) == 3  # header + n in {10, 20}
@@ -161,29 +177,37 @@ def test_decay_command(tmp_path):
 def test_meanfield_command(tmp_path):
     out = tmp_path / "mf"
     code = main(["meanfield", "--p", "0.0,1.0", "--h", "0.05",
-                 "--cap", "2000", "--samples", "60", "--lattice", "z2",
-                 "--out", str(out)])
+                 "--samples", "60", "--lattice", "z2", "--out", str(out)])
     assert code == 0
     rows = (out / "meanfield.csv").read_text().splitlines()
     assert all(line.endswith("PASS") for line in rows[1:])
 
 
-@pytest.mark.parametrize("argv", [
-    ["meanfield", "--p", "0.55,0.9", "--samples", "1"],
-    ["verify-tail-bound-mc", "--lattice", "z2", "--p", "0.3", "--h", "0.2",
-     "--n-max", "20", "--samples", "1"],
-], ids=lambda argv: argv[0])
-def test_magnetization_commands_need_two_samples(tmp_path, argv):
-    # one draw gives a zero-width interval, so the verdicts would mean nothing
+@pytest.mark.parametrize("argv", [["meanfield"], ["verify-tail-bound-mc"]],
+                         ids=lambda argv: argv[0])
+def test_magnetization_commands_take_no_cap(tmp_path, argv):
+    # growth stops where 1 - e^{-h size} saturates, at most at 100,000
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", "500", "--samples", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("h", ["nan", "0", "-0.05"])
+@pytest.mark.parametrize("argv", [["meanfield"], ["verify-tail-bound-mc"]],
+                         ids=lambda argv: argv[0])
+def test_magnetization_commands_need_a_positive_h(tmp_path, capsys, argv, h):
+    out = tmp_path / "out"
+    assert main(argv + [f"--h={h}", "--samples", "4", "--out", str(out)]) == 2
+    assert "h must be positive" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_meanfield_runs_on_the_square_lattice_only(tmp_path):
     # its reference threshold is the square lattice's, so z2 is the default
     out = tmp_path / "mf"
-    assert main(["meanfield", "--p", "1.0", "--cap", "500", "--samples", "30",
+    assert main(["meanfield", "--p", "1.0", "--samples", "30",
                  "--out", str(out)]) == 0
     assert _read_json(out / "manifest.json")["args"]["lattice"] == "z2"
     with pytest.raises(SystemExit) as exc:
@@ -304,9 +328,12 @@ def test_abbreviated_flags_and_config_keys_are_usage_errors(tmp_path, form):
     ["verify-tail-bound-mc", "--threads", "0"],
     ["decay", "--threads", "0"],
     ["meanfield", "--threads", "0"],
+    ["meanfield", "--samples", "1"],
+    ["verify-tail-bound-mc", "--samples", "1"],
 ])
 def test_integer_flags_below_their_minimum_are_usage_errors(tmp_path, capsys, argv):
-    # --n-max 5 would check no n and pass; --threads 0 would run serially
+    # --n-max 5 would check no n and pass; --threads 0 would run serially; one
+    # magnetization draw gives a zero-width interval, so its verdicts mean nothing
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
@@ -396,10 +423,9 @@ def test_decay_threads_match_serial(tmp_path):
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["meanfield", "--p", "0.55,0.8", "--cap", "1000", "--samples", "80"],
-     "meanfield.csv"),
-    (["verify-tail-bound-mc", "--lattice", "z2", "--n-max", "30", "--samples", "300",
-      "--cap", "2000"], "tail_bound.csv"),
+    (["meanfield", "--p", "0.55,0.8", "--samples", "80"], "meanfield.csv"),
+    (["verify-tail-bound-mc", "--lattice", "z2", "--n-max", "30", "--samples", "300"],
+     "tail_bound.csv"),
 ], ids=["meanfield", "verify-tail-bound-mc"])
 def test_threads_do_not_change_outputs(tmp_path, argv, name):
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
@@ -420,7 +446,7 @@ def test_exact_commands_reject_threads(tmp_path):
 
 TAIL_EXACT = ["verify-tail-bound", "--lattice", "z1", "--radius", "1"]
 TAIL_MC = ["verify-tail-bound-mc", "--lattice", "z2", "--p", "0.3", "--h", "0.2",
-           "--n-max", "20", "--samples", "1500", "--cap", "2000"]
+           "--n-max", "20", "--samples", "1500"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -478,7 +504,7 @@ def test_verify_tail_bound_mc_fails_when_the_left_side_lies_above(tmp_path, monk
         return {n: EstimateCI(v, v, v, samples) for n in n_list}
 
     monkeypatch.setattr(percolab.estimators, "psi_curve", psi_curve)
-    report = tail_bound_verdict(LATTICES["z2"], 0.3, 0.2, [10, 20], 1500, 0, cap=2000)
+    report = tail_bound_verdict(LATTICES["z2"], 0.3, 0.2, [10, 20], 1500, 0)
     assert report.verdicts == ("FAIL", "FAIL")
     assert report.failed
     out = tmp_path / "fail"

@@ -61,7 +61,7 @@ def test_psi_monotone_in_n_and_p(z2):
 
 def test_magnetization_p_zero(z2):
     h = 0.8
-    mag = estimate_magnetization(z2, 0.0, h, cap=50, samples=500, rng_seed=3)
+    mag = estimate_magnetization(z2, 0.0, h, samples=500, rng_seed=3)
     truth = 1 - math.exp(-h)
     assert mag.lower.point == pytest.approx(truth, abs=1e-12)
     assert mag.upper.point == pytest.approx(truth, abs=1e-12)
@@ -69,32 +69,41 @@ def test_magnetization_p_zero(z2):
 
 
 def test_magnetization_large_h_bounds(z2):
-    mag = estimate_magnetization(z2, 0.3, 20.0, cap=100, samples=300, rng_seed=9)
+    mag = estimate_magnetization(z2, 0.3, 20.0, samples=300, rng_seed=9)
     assert 1 - math.exp(-20.0) <= mag.lower.point <= 1.0
     assert mag.lower.point <= mag.upper.point
 
 
 def test_magnetization_gap_bound(z2):
     # upper - lower == truncated_fraction * e^{-h * effective cap}, exactly
-    mag = estimate_magnetization(z2, 0.7, 0.05, cap=500, samples=300, rng_seed=4)
+    # where growth stops at the saturation size ceil(-ln(1e-15) / h)
+    mag = estimate_magnetization(z2, 0.7, 0.05, samples=300, rng_seed=4)
     gap = mag.upper.point - mag.lower.point
     bound = mag.lower.truncated_fraction * math.exp(-0.05 * mag.effective_cap)
     assert gap == pytest.approx(bound, abs=1e-12)
-    assert mag.effective_cap <= 500
+    assert mag.effective_cap == math.ceil(-math.log(1e-15) / 0.05) == 691
+
+
+@pytest.mark.parametrize("h", [3e-4, 1e-320])
+def test_magnetization_growth_stops_at_100000_below_saturation(z2, h):
+    # -ln(1e-15) / h exceeds 100,000 here; at 1e-320 it overflows to inf
+    mag = estimate_magnetization(z2, 0.0, h, samples=4, rng_seed=0)
+    assert mag.effective_cap == 100_000
+    assert mag.lower.point == pytest.approx(-math.expm1(-h), rel=1e-9)
 
 
 def test_magnetization_needs_two_samples(z2):
     # one draw has no spread, so its interval would have zero width
     with pytest.raises(ValueError, match="at least 2 samples"):
-        estimate_magnetization(z2, 0.5, 0.1, cap=100, samples=1, rng_seed=0)
+        estimate_magnetization(z2, 0.5, 0.1, samples=1, rng_seed=0)
 
 
 def test_magnetization_monotone_in_p_and_h(z2):
     # common random numbers: the coupled estimates are ordered pointwise
-    m1 = estimate_magnetization(z2, 0.30, 0.2, 200, 400, rng_seed=8)
-    m2 = estimate_magnetization(z2, 0.45, 0.2, 200, 400, rng_seed=8)
+    m1 = estimate_magnetization(z2, 0.30, 0.2, 400, rng_seed=8)
+    m2 = estimate_magnetization(z2, 0.45, 0.2, 400, rng_seed=8)
     assert m1.lower.point <= m2.lower.point + 1e-12
-    m3 = estimate_magnetization(z2, 0.30, 0.4, 200, 400, rng_seed=8)
+    m3 = estimate_magnetization(z2, 0.30, 0.4, 400, rng_seed=8)
     assert m1.lower.point <= m3.lower.point + 1e-12
 
 
@@ -127,8 +136,7 @@ def test_decay_fit_needs_five_points():
 def test_tail_bound_verdict_never_fails_on_line(z1):
     # the line is subcritical at every p < 1, and n = 1 exercises the
     # boundary case where the inequality reduces to m >= 1 - e^{-h}
-    report = tail_bound_verdict(z1, 0.3, 0.3, [1, 2, 5, 10], 2000, rng_seed=6,
-                                cap=1000)
+    report = tail_bound_verdict(z1, 0.3, 0.3, [1, 2, 5, 10], 2000, rng_seed=6)
     assert not report.failed
     assert report.q <= 0.3
     assert report.rows[0]["n"] == 1
@@ -137,8 +145,7 @@ def test_tail_bound_verdict_never_fails_on_line(z1):
 
 def test_tail_bound_tiny_h_near_identity(z2):
     # h -> 0: the right side approaches psi_n(p) and q approaches p
-    report = tail_bound_verdict(z2, 0.25, 0.01, [2, 5, 10], 2000, rng_seed=6,
-                                cap=5000)
+    report = tail_bound_verdict(z2, 0.25, 0.01, [2, 5, 10], 2000, rng_seed=6)
     assert not report.failed
     assert report.q >= 0.2
 
@@ -176,17 +183,19 @@ def test_pool_starts_one_worker_per_block(z2, monkeypatch):
     serial = psi_curve(z2, 0.4, [1, 3], 3, rng_seed=2)
     assert psi_curve(z2, 0.4, [1, 3], 3, rng_seed=2, threads=8) == serial
     assert psi_curve(z2, 0.4, [1, 3], 3, rng_seed=2, threads=2) == serial
+    # one replicate is one block, which runs here with no pool at all
+    serial = psi_curve(z2, 0.4, [1, 3], 1, rng_seed=2)
+    assert psi_curve(z2, 0.4, [1, 3], 1, rng_seed=2, threads=2) == serial
     assert sizes == [3, 2]
 
 
 def test_meanfield_requires_z2(z1):
     with pytest.raises(ValueError):
-        meanfield_verdict(z1, [0.5], 0.05, 100, 50, rng_seed=1)
+        meanfield_verdict(z1, [0.5], 0.05, 50, rng_seed=1)
 
 
 def test_meanfield_trivial_endpoints(z2):
-    rows = meanfield_verdict(z2, [0.0, 1.0], 0.05, cap=2000, samples=60,
-                             rng_seed=2)
+    rows = meanfield_verdict(z2, [0.0, 1.0], 0.05, samples=60, rng_seed=2)
     assert all(r["verdict"] == "PASS" for r in rows)
     assert rows[0]["q_upper"] == 0.0
     assert rows[1]["q_upper"] < 0.05  # p = 1: magnetization is essentially 1
