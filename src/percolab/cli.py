@@ -281,15 +281,17 @@ def cmd_couple_demo(ns, out):
     return 0
 
 
-def _add_command(subs, name, func, help, threads=False, lattices=tuple(LATTICES)):
-    """Subparser for ``name`` with the flags every command shares, and
-    ``--threads`` when the command grows clusters by Monte Carlo.
+def _add_command(subs, name, func, help, threads=False, seed=True,
+                 lattices=tuple(LATTICES)):
+    """Subparser for ``name`` with the shared flags, ``--seed`` if ``seed`` is
+    set and ``--threads`` if the command grows clusters by Monte Carlo.
     ``--lattice`` takes one of ``lattices`` and defaults to the first."""
     sub = subs.add_parser(name, help=help, allow_abbrev=False)
     sub.set_defaults(func=func)
     sub.add_argument("--lattice", choices=lattices, default=lattices[0])
-    sub.add_argument("--seed", type=_int_at_least(0, 2**64 - 1), default=0,
-                     help="64-bit master seed for all randomness")
+    if seed:
+        sub.add_argument("--seed", type=_int_at_least(0, 2**64 - 1), default=0,
+                         help="64-bit master seed for all randomness")
     sub.add_argument("--out", default="percolab-out",
                      help="output directory for CSV/JSON artifacts")
     if threads:
@@ -308,15 +310,15 @@ def build_parser():
 
     s = _add_command(subs, "verify-domination", cmd_verify_domination,
                      "exact domination certificates on a small ball")
-    s.add_argument("--radius", type=int, default=2)
+    s.add_argument("--radius", type=_int_at_least(0), default=2)
     s.add_argument("--p", type=_float_grid, default=DEFAULT_P_GRID)
     s.add_argument("--h", type=_float_grid, default=DEFAULT_H_GRID)
     s.add_argument("--q-override", dest="q_override", type=_probability, default=None,
                    help="test hook: replace q = p(1-eps*) in the certificate")
 
     s = _add_command(subs, "verify-tail-bound", cmd_verify_tail_bound,
-                     "tail inequality, exact on a small ball")
-    s.add_argument("--radius", type=int, default=2)
+                     "tail inequality, exact on a small ball", seed=False)
+    s.add_argument("--radius", type=_int_at_least(0), default=2)
     s.add_argument("--p", type=_float_grid, default=DEFAULT_P_GRID)
     s.add_argument("--h", type=_float_grid, default=DEFAULT_H_GRID)
 
@@ -346,7 +348,7 @@ def build_parser():
     s.add_argument("--samples", type=_int_at_least(2), default=2_000)
 
     s = _add_command(subs, "couple-demo", cmd_couple_demo, "audit one coupled run")
-    s.add_argument("--radius", type=int, default=1)
+    s.add_argument("--radius", type=_int_at_least(0), default=1)
     s.add_argument("--p", type=float, default=0.5)
     s.add_argument("--h", type=float, default=0.5)
     s.add_argument("--q-override", dest="q_override", type=_probability, default=None)

@@ -37,18 +37,24 @@ class ClusterResult:
     truncated: bool
 
 
+def _open_reach(incidence, roots, config) -> set:
+    """Vertices that open edges (``config[e]`` true) join to ``roots``, the
+    roots included; ``incidence`` is laid out like ``GraphBall.incidence``."""
+    seen = set(roots)
+    queue = list(seen)
+    while queue:
+        for e, w in incidence[queue.pop()]:
+            if config[e] and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
 def cluster_of_origin(ball: GraphBall, config: np.ndarray) -> ClusterResult:
     """Maximal open cluster of the origin on a finite ball."""
     if len(config) != ball.n_edges:
         raise ValueError("configuration length does not match the ball")
-    seen = {ball.origin}
-    queue = [ball.origin]
-    while queue:
-        v = queue.pop()
-        for e, w in ball.incidence[v]:
-            if config[e] and w not in seen:
-                seen.add(w)
-                queue.append(w)
+    seen = _open_reach(ball.incidence, [ball.origin], config)
     return ClusterResult(frozenset(seen), len(seen), truncated=False)
 
 

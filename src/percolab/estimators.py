@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import grow_cluster_size, replicate_key
+from .core import _open_reach, grow_cluster_size, replicate_key
 from .lattices import HYPERCUBIC, LatticeSpec
 from .streams import stream
 
@@ -325,36 +325,19 @@ def crossing_probability(p: float, nx: int, ny: int, samples: int,
     if nx < 2 or ny < 1:
         raise ValueError("box must be at least 2 x 1 vertices")
     _check_sampling(p, samples)
+    # Vertex (i, j) is i * ny + j; each replicate's uniforms hold the
+    # horizontal edges, then the vertical ones, both in row-major order.
     n_h = (nx - 1) * ny
-    n_v = nx * (ny - 1)
+    edges = [(v, v + ny) for v in range(n_h)]
+    edges += [(v, v + 1) for v in range(nx * ny) if (v + 1) % ny]
+    incidence = [[] for _ in range(nx * ny)]
+    for e, (a, b) in enumerate(edges):
+        incidence[a].append((e, b))
+        incidence[b].append((e, a))
     successes = 0
     for rep in range(samples):
-        u = stream(rng_seed, EXP_CROSS, rep).random(n_h + n_v)
-        open_h = (u[:n_h] < p).reshape(nx - 1, ny)
-        open_v = (u[n_h:] < p).reshape(nx, ny - 1) if ny > 1 else None
-        if _crosses(open_h, open_v, nx, ny):
+        config = (stream(rng_seed, EXP_CROSS, rep).random(len(edges)) < p).tolist()
+        if not _open_reach(incidence, range(ny), config).isdisjoint(range(n_h, nx * ny)):
             successes += 1
     lo, hi = wilson_interval(successes, samples)
     return EstimateCI(successes / samples, lo, hi, samples)
-
-
-def _crosses(open_h, open_v, nx, ny):
-    seen = np.zeros((nx, ny), dtype=bool)
-    stack = [(0, j) for j in range(ny)]
-    seen[0, :] = True
-    while stack:
-        i, j = stack.pop()
-        if i + 1 < nx and open_h[i, j] and not seen[i + 1, j]:
-            seen[i + 1, j] = True
-            stack.append((i + 1, j))
-        if i > 0 and open_h[i - 1, j] and not seen[i - 1, j]:
-            seen[i - 1, j] = True
-            stack.append((i - 1, j))
-        if open_v is not None:
-            if j + 1 < ny and open_v[i, j] and not seen[i, j + 1]:
-                seen[i, j + 1] = True
-                stack.append((i, j + 1))
-            if j > 0 and open_v[i, j - 1] and not seen[i, j - 1]:
-                seen[i, j - 1] = True
-                stack.append((i, j - 1))
-    return bool(seen[nx - 1, :].any())

@@ -330,10 +330,14 @@ def test_abbreviated_flags_and_config_keys_are_usage_errors(tmp_path, form):
     ["meanfield", "--threads", "0"],
     ["meanfield", "--samples", "1"],
     ["verify-tail-bound-mc", "--samples", "1"],
+    ["verify-domination", "--radius", "-1"],
+    ["verify-tail-bound", "--radius", "-1"],
+    ["couple-demo", "--radius", "-1"],
 ])
 def test_integer_flags_below_their_minimum_are_usage_errors(tmp_path, capsys, argv):
     # --n-max 5 would check no n and pass; --threads 0 would run serially; one
-    # magnetization draw gives a zero-width interval, so its verdicts mean nothing
+    # magnetization draw gives a zero-width interval, so its verdicts mean
+    # nothing; a negative radius failed inside build_ball, naming no flag
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
@@ -444,6 +448,27 @@ def test_exact_commands_reject_threads(tmp_path):
         assert not out.exists()
 
 
+def test_verify_tail_bound_takes_no_seed(tmp_path):
+    # the exact tail check draws no randomness, so a seed would change nothing;
+    # verify-domination reads none either but keeps --seed, which perfbench passes
+    out = tmp_path / "tail"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-tail-bound", "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    # a manifest from when it took --seed records one, and its replay fails loudly
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"args": {"lattice": "z1", "radius": 1, "seed": 0}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-tail-bound", "--config", str(old), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    dom = tmp_path / "dom"
+    assert main(["verify-domination", "--radius", "1", "--seed", "7",
+                 "--out", str(dom)]) == 0
+    assert _read_json(dom / "manifest.json")["seed"] == 7
+
+
 TAIL_EXACT = ["verify-tail-bound", "--lattice", "z1", "--radius", "1"]
 TAIL_MC = ["verify-tail-bound-mc", "--lattice", "z2", "--p", "0.3", "--h", "0.2",
            "--n-max", "20", "--samples", "1500"]
@@ -467,7 +492,7 @@ def test_verify_tail_bound_rejects_flags_of_the_other_mode(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, unread", [
-    (TAIL_EXACT, {"n_max", "samples", "cap", "threads"}),
+    (TAIL_EXACT, {"n_max", "samples", "cap", "threads", "seed"}),
     (TAIL_MC, {"radius"}),
 ])
 def test_verify_tail_bound_records_and_replays_only_read_flags(tmp_path, argv, unread):

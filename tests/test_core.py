@@ -6,6 +6,7 @@ import pytest
 from percolab.core import (
     EXP_GROW,
     MAX_CLUSTER_CAP,
+    _open_reach,
     cluster_of_origin,
     grow_cluster_size,
     lazy_cluster,
@@ -36,6 +37,25 @@ def test_cluster_single_open_edge(z1_ball2):
     got = cluster_of_origin(z1_ball2, config)
     assert got.size == 2
     assert {z1_ball2.vertices[v] for v in got.members} == target
+
+
+@pytest.mark.parametrize("roots, reached", [
+    ([], set()),
+    ([0], {0, 1}),
+    ([-2], {-2, -1}),
+    ([2], {2}),
+    ([-1, 2], {-2, -1, 2}),
+    ([1, -1, 1], {-2, -1, 0, 1}),
+])
+def test_open_reach_from_several_roots(z1_ball2, roots, reached):
+    # the path -2 .. 2 with the edges {-2, -1} and {0, 1} open
+    index = {v: i for i, (v,) in enumerate(z1_ball2.vertices)}
+    open_edges = {frozenset({-2, -1}), frozenset({0, 1})}
+    config = [int(frozenset(z1_ball2.vertices[i][0] for i in edge) in open_edges)
+              for edge in z1_ball2.edges]
+    assert sum(config) == 2
+    got = _open_reach(z1_ball2.incidence, [index[v] for v in roots], config)
+    assert {z1_ball2.vertices[i][0] for i in got} == reached
 
 
 def test_ghost_avoidance_weight_by_enumeration(z1_ball1):

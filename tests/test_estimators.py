@@ -207,6 +207,25 @@ def test_crossing_probe_at_reference_threshold():
     assert est.lo <= 0.5 <= est.hi
 
 
+@pytest.mark.parametrize("args, successes", [
+    ((0.5, 13, 12, 800, 9), 413),  # the demo's call
+    ((0.5, 2, 1, 300, 1), 153),
+    ((0.9, 5, 1, 300, 2), 196),
+    ((0.3, 3, 7, 300, 3), 174),
+])
+def test_crossing_probe_is_pinned(args, successes):
+    # literal counts pin how each replicate's uniforms map onto the box's
+    # edges; one-row boxes have no vertical edge
+    est = crossing_probability(*args)
+    assert est.point == successes / args[3]
+    assert (est.lo, est.hi) == wilson_interval(successes, args[3])
+
+
+@pytest.mark.parametrize("p, point", [(0.0, 0.0), (1.0, 1.0)])
+def test_crossing_probe_at_the_trivial_p(p, point):
+    assert crossing_probability(p, 4, 4, 50, rng_seed=5).point == point
+
+
 @pytest.mark.parametrize("p, samples", [(1.7, 10), (-0.1, 10), (0.5, 0)])
 def test_crossing_probe_rejects_bad_p_and_samples(p, samples):
     # the same checks as the cluster estimators, not a clipped p or a
