@@ -7,7 +7,7 @@ seeded Monte Carlo estimators for cluster-volume statistics.
 
 __version__ = "0.1.0"
 
-from .core import ClusterResult, cluster_of_origin, lazy_cluster
+from .core import ClusterResult, lazy_cluster
 from .coupling import (
     CoupledPair,
     StepViolation,

@@ -206,6 +206,8 @@ def cmd_verify_tail_bound(ns, out):
     for p, psi_p in psi:
         for h in h_grid:
             m = exact_magnetization(ball, p, h)
+            if m == 1.0:
+                raise ValueError(f"m rounds to 1 at p={p}, h={h}, so 1 - m is 0")
             mags.append((p, h, m))
             q = p * (1.0 - m)
             for (n, lhs), (_, at_p) in zip(psi_table(ball, q), psi_p):

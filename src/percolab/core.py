@@ -1,20 +1,17 @@
 """Percolation configurations and cluster growth.
 
-An edge configuration is a uint8 bit vector indexed like ``ball.edges``
-(1 = open, 0 = closed).  Cluster growth comes in two flavors: ``cluster_of_origin``
-reads a full configuration on a finite ball, while ``lazy_cluster`` grows
-the origin's cluster directly on the infinite lattice, revealing each
-incident edge exactly once with a fresh Bernoulli(p) value, so the law of
-min(|cluster|, cap) matches the true percolation law without building a
-large ball.
+An edge configuration is indexed like ``ball.edges`` (1 = open, 0 = closed).
+``_open_reach`` is the one open-edge search on a finite graph, while
+``lazy_cluster`` grows the origin's cluster directly on the infinite
+lattice, revealing each incident edge exactly once with a fresh
+Bernoulli(p) value, so the law of min(|cluster|, cap) matches the true
+percolation law without building a large ball.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapExceeded
-from .lattices import GraphBall, LatticeSpec, incident_edges, key_to_coords, vertex_key
+from .lattices import LatticeSpec, incident_edges, key_to_coords, vertex_key
 from .streams import derive_key, keyed_uniform
 
 # Stream label of lazy growth: (seed, label, ...) paths keep experiments
@@ -48,14 +45,6 @@ def _open_reach(incidence, roots, config) -> set:
                 seen.add(w)
                 queue.append(w)
     return seen
-
-
-def cluster_of_origin(ball: GraphBall, config: np.ndarray) -> ClusterResult:
-    """Maximal open cluster of the origin on a finite ball."""
-    if len(config) != ball.n_edges:
-        raise ValueError("configuration length does not match the ball")
-    seen = _open_reach(ball.incidence, [ball.origin], config)
-    return ClusterResult(frozenset(seen), len(seen), truncated=False)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .exploration import ExplorationTrace
+from .exploration import ExplorationTrace, _revealed_cluster
 from .lattices import GraphBall
 
 MEASURE_CAP = 20    # 2^E weight vectors
@@ -313,11 +313,10 @@ def fkg_sweep(ball: GraphBall, rule, p: float, h: float) -> list:
     rows = []
     for trace, e, mask in reachable_traces(ball, rule, avoid):
         i, j = ball.edges[e]
-        # the revealed cluster is the origin's in the revealed-open configuration
-        cluster = members[sum(1 << k for k, x in zip(trace.order, trace.values) if x)]
-        if cluster[i] == cluster[j]:
+        cluster = _revealed_cluster(ball, trace)
+        if (i in cluster) == (j in cluster):
             continue
-        w = j if cluster[i] else i
+        w = j if i in cluster else i
         excluded = sum(1 << k for k in trace.order) | (1 << e)
         configs = np.nonzero(mask)[0]
         # Closing the excluded edges leaves w's cluster as the reachable set.

@@ -9,9 +9,7 @@ cluster is complete, sweep the remaining edges in index order.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import cluster_of_origin
+from .core import _open_reach
 from .lattices import GraphBall
 
 
@@ -36,6 +34,14 @@ class ExplorationTrace:
         return ExplorationTrace(self.order + (edge,), self.values + (int(value),))
 
 
+def _revealed_cluster(ball: GraphBall, trace: ExplorationTrace) -> set:
+    """Vertex indices that the trace's revealed-open edges join to the origin."""
+    config = [0] * ball.n_edges
+    for e, x in zip(trace.order, trace.values):
+        config[e] = x
+    return _open_reach(ball.incidence, [ball.origin], config)
+
+
 class ClusterFirstRule:
     """Reveal the origin's cluster first, then everything else, smallest index wins."""
 
@@ -43,10 +49,7 @@ class ClusterFirstRule:
         if trace.k >= ball.n_edges:
             return None
         revealed = set(trace.order)
-        # the revealed cluster is the origin's in the revealed-open configuration
-        config = np.zeros(ball.n_edges, dtype=np.uint8)
-        config[list(trace.order)] = trace.values
-        cluster = cluster_of_origin(ball, config).members
+        cluster = _revealed_cluster(ball, trace)
         fallback = None
         for e, (i, j) in enumerate(ball.edges):
             if e in revealed:

@@ -2,15 +2,17 @@
 
 None of these is used by percolab's commands, demos or benchmark.  Each is
 the direct, configuration-by-configuration definition of a quantity that
-percolab computes some faster way.  The stream labels are fixed, so every
-test input they draw is reproducible.
+percolab computes some faster way, except ``tree_cluster_law``: the exact
+cluster-size law of the infinite regular tree, in closed form, against
+which the Monte Carlo estimators are checked.  The stream labels are fixed,
+so every test input they draw is reproducible.
 """
 
 import math
 
 import numpy as np
 
-from percolab.core import cluster_of_origin
+from percolab.core import ClusterResult, _open_reach
 from percolab.estimators import EstimateCI, wilson_interval
 from percolab.exploration import ExplorationTrace
 from percolab.lattices import GraphBall, LatticeSpec, incident_edges, vertex_key
@@ -70,6 +72,14 @@ def sample_config_keyed(ball: GraphBall, p: float, rkey: int) -> np.ndarray:
         if keyed_uniform(rkey, edge_key(ball.spec, va, vb)) < p:
             bits[e] = 1
     return bits
+
+
+def cluster_of_origin(ball: GraphBall, config: np.ndarray) -> ClusterResult:
+    """Maximal open cluster of the origin on a finite ball."""
+    if len(config) != ball.n_edges:
+        raise ValueError("configuration length does not match the ball")
+    seen = _open_reach(ball.incidence, [ball.origin], config)
+    return ClusterResult(frozenset(seen), len(seen), truncated=False)
 
 
 def revealed_open_cluster(ball: GraphBall, trace: ExplorationTrace) -> set:
@@ -152,3 +162,28 @@ def estimate_psi_on_ball(ball: GraphBall, p: float, n: int, samples: int,
             successes += 1
     lo, hi = wilson_interval(successes, samples)
     return EstimateCI(successes / samples, lo, hi, samples)
+
+
+def tree_cluster_law(d: int, p: float, s_max: int) -> np.ndarray:
+    """P(|C| = s) for s = 0 .. s_max on the d-regular tree, 0 < p < 1.
+
+    The origin has J ~ Bin(d, p) open edges and every other cluster vertex
+    Bin(d - 1, p) open edges away from it, so by the hitting-time theorem
+    P(|C| = 1 + n) = sum_j P(J = j) (j / n) P(Bin(n (d - 1), p) = n - j).
+    Each binomial is evaluated in log-gamma.  The mass that the sum over
+    every s misses is the probability that the cluster is infinite.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    log_p, log_q = math.log(p), math.log1p(-p)
+
+    def log_binom(trials, k):
+        return (math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                + k * log_p + (trials - k) * log_q)
+
+    law = np.zeros(s_max + 1)
+    law[1] = (1.0 - p) ** d
+    for n in range(1, s_max):
+        law[n + 1] = sum(j / n * math.exp(log_binom(d, j) + log_binom(n * (d - 1), n - j))
+                         for j in range(1, min(d, n) + 1))
+    return law

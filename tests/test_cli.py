@@ -154,6 +154,21 @@ def test_exact_commands_reject_negative_h(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--lattice", "z1", "--radius", "0", "--p", "0.5", "--h", "50"],
+    ["--lattice", "z2", "--radius", "1", "--p", "0", "--h", "40"],
+    ["--lattice", "z1", "--radius", "1", "--p", "0.5", "--h", "1000"],
+    ["--lattice", "z1", "--radius", "1", "--h", "inf"],
+    ["--lattice", "tree3", "--radius", "1", "--p", "0.5", "--h", "0.5,inf"],
+])
+def test_verify_tail_bound_magnetization_of_one_is_a_usage_error(tmp_path, args):
+    # the bound divides by 1 - m, so a grid point where m rounds to 1 is a
+    # usage error, not a crash, and nothing is written
+    out = tmp_path / "m1"
+    assert main(["verify-tail-bound", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_verify_tail_bound_mc(tmp_path):
     out = tmp_path / "tailmc"
     code = main(["verify-tail-bound-mc", "--lattice", "z2",

@@ -7,7 +7,6 @@ from percolab.core import (
     EXP_GROW,
     MAX_CLUSTER_CAP,
     _open_reach,
-    cluster_of_origin,
     grow_cluster_size,
     lazy_cluster,
 )
@@ -15,7 +14,7 @@ from percolab.errors import CapExceeded
 from percolab.exact import exact_magnetization
 from percolab.lattices import build_ball
 from percolab.streams import derive_key, stream
-from reference import edge_coords, sample_config, sample_config_keyed
+from reference import cluster_of_origin, edge_coords, sample_config, sample_config_keyed
 
 
 def test_cluster_extremes(z1_ball2):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,9 @@ from percolab.estimators import (
     tail_bound_verdict,
     wilson_interval,
 )
-from reference import estimate_psi_on_ball
+from percolab.exact import psi_table
+from percolab.lattices import build_ball
+from reference import estimate_psi_on_ball, tree_cluster_law
 
 
 @settings(max_examples=100, deadline=None)
@@ -242,3 +245,49 @@ def test_estimate_psi_on_ball_single_edge(single_edge_ball):
 def test_z_value_matches_gaussian():
     assert DEFAULT_CONFIDENCE == 0.999
     assert Z == pytest.approx(3.2905267314919255, abs=1e-9)
+
+
+# The exact cluster-size law on the 3-regular tree (p_c = 1/2) as an oracle.
+
+def test_tree_law_mass_and_mean():
+    # subcritical: no mass is missing, and E|C| = 1 + d p / (1 - (d - 1) p)
+    law = tree_cluster_law(3, 0.45, 20_000)
+    assert abs(float(law.sum()) - 1.0) < 1e-12
+    assert float(law @ np.arange(len(law))) == pytest.approx(14.5, rel=1e-12)
+
+
+def test_tree_law_missing_mass_is_theta():
+    # eta = (1 - p + p eta)^2 has the root 4/9 at p = 0.6, so the cluster is
+    # infinite with probability 1 - (1 - p + p eta)^3 = 19/27
+    law = tree_cluster_law(3, 0.6, 20_000)
+    assert abs(1.0 - float(law.sum()) - 19 / 27) < 1e-12
+
+
+def test_tree_law_matches_the_exact_ball(tree3):
+    # a cluster of s <= R vertices and its boundary edges lie in the radius-R ball
+    law = tree_cluster_law(3, 0.45, 2)
+    psi = dict(psi_table(build_ball(tree3, 2), 0.45))
+    for n in (2, 3):
+        assert psi[n] == pytest.approx(1.0 - float(law[:n].sum()), abs=1e-14)
+
+
+def test_tree_psi_curve_covers_the_exact_law(tree3):
+    law = tree_cluster_law(3, 0.45, 120)
+    curve = psi_curve(tree3, 0.45, range(20, 121, 10), 20_000, rng_seed=0)
+    assert len(curve) == 11
+    for n, est in curve.items():
+        assert est.lo <= 1.0 - float(law[:n].sum()) <= est.hi
+
+
+@pytest.mark.parametrize("p, h", [
+    (0.45, 0.05),
+    pytest.param(0.6, 0.05, marks=pytest.mark.slow),
+    pytest.param(0.9, 0.05, marks=pytest.mark.slow),
+    (0.3, 0.5),
+])
+def test_tree_magnetization_covers_the_exact_law(tree3, p, h):
+    # an infinite cluster always meets a green vertex, so m = 1 - E[e^{-h |C|}; |C| < inf]
+    law = tree_cluster_law(3, p, 2_000)
+    exact = 1.0 - float(law @ np.exp(-h * np.arange(len(law))))
+    est = estimate_magnetization(tree3, p, h, 2_000, rng_seed=4242)
+    assert est.lower.lo <= exact <= est.upper.hi

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percolab.core import cluster_of_origin
 from percolab.errors import CapExceeded
 from percolab.exact import (
     ExplicitMeasure,
@@ -29,7 +28,7 @@ from percolab.exact import (
 )
 from percolab.exploration import CLUSTER_FIRST, ExplorationTrace
 from percolab.lattices import LatticeSpec, build_ball
-from reference import pivotal_ghost_weight, run_exploration
+from reference import cluster_of_origin, pivotal_ghost_weight, run_exploration
 
 
 def test_product_measure_single_edge(single_edge_ball):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from percolab.core import cluster_of_origin
+from percolab.exact import TRACE_CAP, _exploration_tree
 from percolab.lattices import LatticeSpec, build_ball
-from percolab.exploration import CLUSTER_FIRST, ExplorationTrace
+from percolab.exploration import CLUSTER_FIRST, ExplorationTrace, _revealed_cluster
 from percolab.streams import stream
 from reference import (
+    cluster_of_origin,
     edge_coords,
     is_pivotal_avoidance,
     pivotal_ghost_weight,
@@ -39,6 +40,27 @@ def test_cluster_phase_ends_after_closed_origin_edges(z1_ball2):
     # both origin edges revealed closed: next is the smallest non-incident edge
     trace = ExplorationTrace((0, 1), (0, 0))
     assert CLUSTER_FIRST.next_edge(z1_ball2, trace) == 2
+
+
+@pytest.mark.parametrize("ball_name", ["z1_ball2", "z2_ball1", "tree3_ball1"])
+def test_revealed_cluster_at_every_tree_node(request, ball_name):
+    ball = request.getfixturevalue(ball_name)
+    nodes = _exploration_tree(ball, CLUSTER_FIRST)
+    assert len(nodes) == 2 ** ball.n_edges - 1
+    for trace, _, _ in nodes:
+        assert _revealed_cluster(ball, trace) == revealed_open_cluster(ball, trace)
+
+
+def test_revealed_cluster_along_tri_explorations():
+    # 12 edges is past TRACE_CAP, so the prefixes come from full explorations
+    ball = build_ball(LatticeSpec.triangular(), 1)
+    assert ball.n_edges > TRACE_CAP
+    for p in (0.3, 0.5, 0.7):
+        for seed in range(5):
+            full = run_exploration(ball, CLUSTER_FIRST, sample_config(ball, p, 500 + seed))
+            for k in range(full.k + 1):
+                trace = ExplorationTrace(full.order[:k], full.values[:k])
+                assert _revealed_cluster(ball, trace) == revealed_open_cluster(ball, trace)
 
 
 def test_run_exploration_single_edge(single_edge_ball):
