@@ -1,8 +1,8 @@
 """Command-line front door: reproducible experiments with manifests.
 
 Exit codes: 0 when every check passes, 1 on a scientific failure (a failed
-certificate or verdict), 2 on usage or resource-cap problems.  Every command
-writes its outputs plus a ``manifest.json`` recording the command, resolved
+certificate or verdict), 2 on usage or resource-cap problems.  Each command's
+outputs are written with a ``manifest.json`` recording the command, resolved
 parameters, master seed, code version, timestamps, and SHA-256 digests of
 the outputs.  Output files themselves contain no timestamps, so rerunning
 with the same parameters reproduces them byte for byte.
@@ -10,7 +10,6 @@ with the same parameters reproduces them byte for byte.
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -57,25 +56,20 @@ DEFAULT_H_GRID = "0.1,0.5,1.0"
 # decay fits n = 20, 30, ..., n_max, and decay_fit needs five points.
 DECAY_N_MAX_MIN = 60
 
-# namespace entries that are not flag values
-_NOT_FLAGS = ("command", "func", "config")
-
-
-def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+# namespace entries that a manifest does not record among its args
+_NOT_FLAGS = ("command", "func", "config", "out")
 
 
 def _float_grid(text):
-    """argparse type of a comma-separated grid flag.  It returns the text
-    unchanged, so manifests record the string and older ones replay, once it
-    holds at least one float and nothing else."""
+    """argparse type of a comma-separated grid flag: the list of its floats,
+    which must hold at least one value and nothing else."""
     try:
-        values = _float_list(text)
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float grid: {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("the grid holds no value")
-    return text
+    return values
 
 
 def _int_at_least(minimum, maximum=math.inf):
@@ -119,43 +113,39 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _command(fn):
-    """Subcommand decorator.  The command gets ``out(name)``, the path of an
-    output file under ``--out``; afterwards manifest.json records the parsed
-    flag values, timestamps and the SHA-256 of every such file.  ``--out`` is
-    made on the first ``out`` call, so a command that fails before writing
-    leaves no directory behind."""
-    @functools.wraps(fn)
-    def run(ns):
-        args = {k: v for k, v in vars(ns).items() if k not in _NOT_FLAGS + ("out",)}
-        started = datetime.now(timezone.utc).isoformat()
-        names = []
-
-        def out(name):
-            if not names:
-                os.makedirs(ns.out, exist_ok=True)
-            names.append(name)
-            return os.path.join(ns.out, name)
-
-        code = fn(ns, out)
-        _write_json(os.path.join(ns.out, "manifest.json"), {
-            "command": ns.command, "args": args, "seed": args.get("seed"),
-            "version": __version__, "started": started,
-            "finished": datetime.now(timezone.utc).isoformat(),
-            "outputs": {n: _digest(os.path.join(ns.out, n)) for n in names},
-        })
-        return code
-    return run
+def _run(ns):
+    """Run the command, then write its files and a manifest.json recording the
+    parsed flag values, timestamps and the SHA-256 of every file.  A command
+    returns ``(exit code, {file name: content})``, where a ``.json`` name maps
+    to its payload and a ``.csv`` name to ``(header, rows)``.  ``--out`` is
+    made only once the command returns, so a command that raises leaves no
+    directory behind."""
+    args = {k: v for k, v in vars(ns).items() if k not in _NOT_FLAGS}
+    started = datetime.now(timezone.utc).isoformat()
+    code, files = ns.func(ns)
+    os.makedirs(ns.out, exist_ok=True)
+    for name, content in files.items():
+        path = os.path.join(ns.out, name)
+        if name.endswith(".json"):
+            _write_json(path, content)
+        else:
+            _write_csv(path, *content)
+    _write_json(os.path.join(ns.out, "manifest.json"), {
+        "command": ns.command, "args": args, "seed": args.get("seed"),
+        "version": __version__, "started": started,
+        "finished": datetime.now(timezone.utc).isoformat(),
+        "outputs": {n: _digest(os.path.join(ns.out, n)) for n in files},
+    })
+    return code
 
 
-@_command
-def cmd_verify_domination(ns, out):
+def cmd_verify_domination(ns):
     """Exact certification suite on one small ball over a (p, h) grid."""
     ball = build_ball(LATTICES[ns.lattice], ns.radius)
     points = []
     failures = []
-    for p in _float_list(ns.p):
-        for h in _float_list(ns.h):
+    for p in ns.p:
+        for h in ns.h:
             eps = max_conditional_pivotal(ball, CLUSTER_FIRST, p, h)
             m_hat = magnetization_bound(ball, p, h)
             cond = conditional_measure(ball, p, h)
@@ -191,20 +181,17 @@ def cmd_verify_domination(ns, out):
         "failures": failures,
         "ok": not failures,
     }
-    _write_json(out("domination_report.json"), report)
-    return 0 if not failures else 1
+    return (0 if not failures else 1), {"domination_report.json": report}
 
 
-@_command
-def cmd_verify_tail_bound(ns, out):
+def cmd_verify_tail_bound(ns):
     """Tail inequality checked exactly on a small ball over a (p, h) grid."""
     ball = build_ball(LATTICES[ns.lattice], ns.radius)
-    h_grid = _float_list(ns.h)
-    psi = [(p, psi_table(ball, p)) for p in _float_list(ns.p)]
+    psi = [(p, psi_table(ball, p)) for p in ns.p]
     rows = []
     mags = []
     for p, psi_p in psi:
-        for h in h_grid:
+        for h in ns.h:
             m = exact_magnetization(ball, p, h)
             if m == 1.0:
                 raise ValueError(f"m rounds to 1 at p={p}, h={h}, so 1 - m is 0")
@@ -214,29 +201,26 @@ def cmd_verify_tail_bound(ns, out):
                 rhs = at_p * math.exp(-h * n) / (1.0 - m)
                 ok = lhs <= rhs + 1e-12
                 rows.append([p, h, n, lhs, rhs, rhs - lhs, "PASS" if ok else "FAIL"])
-    _write_csv(out("psi_exact.csv"), ["p", "n", "psi"],
-               [[p, n, value] for p, table in psi for n, value in table])
-    _write_csv(out("magnetization_exact.csv"), ["p", "h", "m"], mags)
-    _write_csv(out("tail_bound.csv"), ["p", "h", "n", "lhs", "rhs", "slack", "verdict"],
-               rows)
-    return 1 if any(row[-1] == "FAIL" for row in rows) else 0
+    return (1 if any(row[-1] == "FAIL" for row in rows) else 0), {
+        "psi_exact.csv": (["p", "n", "psi"],
+                          [[p, n, value] for p, table in psi for n, value in table]),
+        "magnetization_exact.csv": (["p", "h", "m"], mags),
+        "tail_bound.csv": (["p", "h", "n", "lhs", "rhs", "slack", "verdict"], rows),
+    }
 
 
-@_command
-def cmd_verify_tail_bound_mc(ns, out):
+def cmd_verify_tail_bound_mc(ns):
     """Tail inequality checked by Monte Carlo on the infinite lattice."""
     p, h = ns.p, ns.h
     report = tail_bound_verdict(LATTICES[ns.lattice], p, h, range(10, ns.n_max + 1, 10),
                                 ns.samples, ns.seed, threads=ns.threads)
     rows = [[p, h, r["n"], r["lhs"], r["lhs_hi"], r["psi_p"], r["rhs"], r["verdict"]]
             for r in report.rows]
-    _write_csv(out("tail_bound.csv"),
-               ["p", "h", "n", "lhs", "lhs_hi", "psi_p", "rhs", "verdict"], rows)
-    return 1 if report.failed else 0
+    return (1 if report.failed else 0), {"tail_bound.csv": (
+        ["p", "h", "n", "lhs", "lhs_hi", "psi_p", "rhs", "verdict"], rows)}
 
 
-@_command
-def cmd_decay(ns, out):
+def cmd_decay(ns):
     """Tail curve plus exponential-decay fit."""
     n_list = list(range(20, ns.n_max + 1, 10))
     curve = psi_curve(LATTICES[ns.lattice], ns.p, n_list, ns.samples, ns.seed,
@@ -244,32 +228,29 @@ def cmd_decay(ns, out):
     fit = decay_fit([(n, curve[n]) for n in n_list])
     rows = [[n, curve[n].point, curve[n].lo, curve[n].hi, curve[n].samples]
             for n in n_list]
-    _write_csv(out("decay_curve.csv"),
-               ["n", "psi", "lo", "hi", "samples"], rows)
-    _write_json(out("decay_fit.json"), {
-        "p": ns.p, "rate": fit.rate, "prefactor": fit.prefactor,
-        "r_squared": fit.r_squared, "rate_se": fit.rate_se,
-        "rate_lo": fit.rate_lo, "rate_hi": fit.rate_hi,
-        "points_used": fit.points_used,
-    })
-    return 0
+    return 0, {
+        "decay_curve.csv": (["n", "psi", "lo", "hi", "samples"], rows),
+        "decay_fit.json": {
+            "p": ns.p, "rate": fit.rate, "prefactor": fit.prefactor,
+            "r_squared": fit.r_squared, "rate_se": fit.rate_se,
+            "rate_lo": fit.rate_lo, "rate_hi": fit.rate_hi,
+            "points_used": fit.points_used,
+        },
+    }
 
 
-@_command
-def cmd_meanfield(ns, out):
+def cmd_meanfield(ns):
     """Reduced-parameter check against the square lattice threshold."""
-    rows = meanfield_verdict(LATTICES[ns.lattice], _float_list(ns.p), ns.h, ns.samples,
+    rows = meanfield_verdict(LATTICES[ns.lattice], ns.p, ns.h, ns.samples,
                              ns.seed, threads=ns.threads)
     table = [[r["p"], r["m_lo"], r["m_hi"], r["q_upper"], r["q_lower"],
               r["truncated_fraction"], r["verdict"]] for r in rows]
-    _write_csv(out("meanfield.csv"),
-               ["p", "m_lo", "m_hi", "q_upper", "q_lower", "truncated_fraction",
-                "verdict"], table)
-    return 1 if any(r["verdict"] == "FAIL" for r in rows) else 0
+    return (1 if any(r["verdict"] == "FAIL" for r in rows) else 0), {"meanfield.csv": (
+        ["p", "m_lo", "m_hi", "q_upper", "q_lower", "truncated_fraction", "verdict"],
+        table)}
 
 
-@_command
-def cmd_couple_demo(ns, out):
+def cmd_couple_demo(ns):
     """One audited coupled run with the exact conditional oracle."""
     ball = build_ball(LATTICES[ns.lattice], ns.radius)
     p, h = ns.p, ns.h
@@ -279,18 +260,20 @@ def cmd_couple_demo(ns, out):
     pair = couple_sequential(ball, CLUSTER_FIRST, q, oracle, ns.seed)
     payload = pair_to_json(pair)
     payload.update({"p": p, "h": h, "q": q, "magnetization": m})
-    _write_json(out("couple_demo.json"), payload)
-    return 0
+    return 0, {"couple_demo.json": payload}
 
 
 def _add_command(subs, name, func, help, threads=False, seed=True,
                  lattices=tuple(LATTICES)):
     """Subparser for ``name`` with the shared flags, ``--seed`` if ``seed`` is
     set and ``--threads`` if the command grows clusters by Monte Carlo.
-    ``--lattice`` takes one of ``lattices`` and defaults to the first."""
+    ``--lattice`` takes one of ``lattices``.  A Monte Carlo command defaults to
+    z2, since on the line too few large clusters are seen at its default
+    samples; every other command defaults to the first of ``lattices``."""
     sub = subs.add_parser(name, help=help, allow_abbrev=False)
     sub.set_defaults(func=func)
-    sub.add_argument("--lattice", choices=lattices, default=lattices[0])
+    sub.add_argument("--lattice", choices=lattices,
+                     default="z2" if threads else lattices[0])
     if seed:
         sub.add_argument("--seed", type=_int_at_least(0, 2**64 - 1), default=0,
                          help="64-bit master seed for all randomness")
@@ -298,7 +281,7 @@ def _add_command(subs, name, func, help, threads=False, seed=True,
                      help="output directory for CSV/JSON artifacts")
     if threads:
         sub.add_argument("--threads", type=_int_at_least(1), default=1,
-                         help="worker pool size; results do not depend on it")
+                         help="workers, at most one per CPU; results do not depend on it")
     sub.add_argument("--config", default=None,
                      help="JSON file of flag values (a manifest works too)")
     return sub
@@ -335,8 +318,6 @@ def build_parser():
 
     s = _add_command(subs, "decay", cmd_decay, "tail curve and exponential fit",
                      threads=True)
-    # on z1 the default p and samples see too few large clusters to fit
-    s.set_defaults(lattice="z2")
     s.add_argument("--p", type=float, default=0.4)
     s.add_argument("--n-max", dest="n_max", type=_int_at_least(DECAY_N_MAX_MIN),
                    default=120)
@@ -361,14 +342,16 @@ def build_parser():
 def _config_tokens(path):
     """``--flag=value`` tokens for the non-null values in a JSON config (a
     manifest carries them under 'args'), so that argparse checks each key
-    and value as it checks the command line."""
+    and value as it checks the command line.  A list value, as a manifest
+    records a grid flag, becomes its items joined by commas."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config {path} is not a JSON object")
     if isinstance(data.get("args"), dict):
         data = data["args"]
-    return [f"--{key.replace('_', '-')}={value}"
+    return [f"--{key.replace('_', '-')}="
+            + (",".join(map(str, value)) if isinstance(value, list) else str(value))
             for key, value in data.items() if value is not None]
 
 
@@ -380,7 +363,7 @@ def main(argv=None) -> int:
         if ns.config:
             # config values go first, so flags given on the command line win
             ns = parser.parse_args(argv[:1] + _config_tokens(ns.config) + argv[1:])
-        return ns.func(ns)
+        return _run(ns)
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 2

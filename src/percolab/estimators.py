@@ -16,6 +16,7 @@ outcome, never folded into PASS.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -102,15 +103,15 @@ def _check_sampling(p, samples):
 
 def _collect_sizes(spec, p, cap, samples, rng_seed, experiment, threads=1):
     """Per-replicate cluster sizes (capped) and truncation flags, grown in at
-    most ``threads`` blocks: one block runs here, more run one per pool worker,
-    or here in turn when no process can be started."""
+    most ``threads`` blocks: one block runs here, more in a pool of one worker
+    per block up to one per CPU, or here in turn when no process can start."""
     _check_sampling(p, samples)
     args = [(spec, p, cap, rng_seed, experiment, lo, hi)
             for lo, hi in _split_blocks(samples, threads)]
     if len(args) == 1:
         return _sizes_block(args[0])
     try:
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_sizes_block, args))
     except OSError:
         parts = [_sizes_block(a) for a in args]

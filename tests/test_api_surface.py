@@ -3,8 +3,9 @@
 They live outside the test suite, so a name cut from percolab would break
 them without any other test failing.  The benchmark files are read, never
 changed: the demos and perfbench are parsed, and perfbench/tracer.py is
-loaded to read its wrapped attributes.  The fast demos are also run, since
-a demo can break at run time with every name it reaches still present.
+loaded to read its wrapped attributes.  The demos are also run (the two
+slow ones under the ``slow`` mark), since a demo can break at run time with
+every name it reaches still present.
 """
 
 import ast
@@ -109,12 +110,21 @@ def test_tracer_wrapped_attributes_exist():
     assert not missing, f"perfbench/tracer.py wraps missing attributes: {missing}"
 
 
-# decay_and_meanfield.py and tail_bound_mc.py take 15-25 s each, so only the
-# fast demos are run here
-@pytest.mark.parametrize("name", ["ball_gallery.py", "cluster_growth.py",
-                                  "coupling_audit.py", "domination_certificates.py"])
-def test_fast_demos_run(name):
+def _run_demo(name):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["ball_gallery.py", "cluster_growth.py",
+                                  "coupling_audit.py", "domination_certificates.py"])
+def test_fast_demos_run(name):
+    _run_demo(name)
+
+
+# these two take 10-25 s each, so they run with the other slow tests
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["decay_and_meanfield.py", "tail_bound_mc.py"])
+def test_slow_demos_run(name):
+    _run_demo(name)

@@ -9,7 +9,7 @@ import pytest
 import percolab
 import percolab.estimators
 import percolab.exact
-from percolab.cli import LATTICES, build_parser, main
+from percolab.cli import LATTICES, build_parser, cmd_verify_tail_bound, main
 from percolab.estimators import EstimateCI, tail_bound_verdict
 from percolab.exact import exact_magnetization, psi_table
 from percolab.lattices import build_ball
@@ -599,6 +599,74 @@ def test_manifest_args_are_the_parsed_flags(tmp_path):
     assert main(["couple-demo", "--config", str(old), "--out", str(rerun)]) == 0
     assert ((out / "couple_demo.json").read_bytes()
             == (rerun / "couple_demo.json").read_bytes())
+
+
+def test_commands_return_their_files_and_write_nothing(tmp_path):
+    # a command only computes; main writes its files and the manifest after
+    # it returns, so no command can leave a partial --out behind
+    out = tmp_path / "tail"
+    ns = build_parser().parse_args(["verify-tail-bound", "--lattice", "z1",
+                                    "--radius", "1", "--out", str(out)])
+    code, files = cmd_verify_tail_bound(ns)
+    assert code == 0
+    assert set(files) == {"psi_exact.csv", "magnetization_exact.csv", "tail_bound.csv"}
+    header, rows = files["tail_bound.csv"]
+    assert header == ["p", "h", "n", "lhs", "rhs", "slack", "verdict"]
+    assert rows and all(row[-1] == "PASS" for row in rows)
+    assert not out.exists()
+
+
+def test_manifest_records_grids_as_floats(tmp_path):
+    out = tmp_path / "dom"
+    assert main(["verify-domination", "--lattice", "z1", "--radius", "1",
+                 "--out", str(out)]) == 0
+    args = _read_json(out / "manifest.json")["args"]
+    assert args["p"] == [0.2, 0.5, 0.8]
+    assert all(isinstance(v, float) for v in args["p"] + args["h"])
+    # the new manifest and one written when grids were recorded as their
+    # comma-separated text both replay to the same report
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"args": {**args, "p": "0.2,0.5,0.8", "h": "0.1,0.5,1.0"}}))
+    for name, config in [("new", out / "manifest.json"), ("old", old)]:
+        rerun = tmp_path / f"rerun-{name}"
+        assert main(["verify-domination", "--config", str(config),
+                     "--out", str(rerun)]) == 0
+        assert ((rerun / "domination_report.json").read_bytes()
+                == (out / "domination_report.json").read_bytes())
+
+
+def test_config_lists_read_as_their_items(tmp_path):
+    # a list config value is its items joined by commas: two values on a
+    # single-value flag are a usage error, one value reads as that value
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps({"p": [0.3, 0.4]}))
+    out = tmp_path / "decay"
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({"p": [0.6]}))
+    out = tmp_path / "demo"
+    assert main(["couple-demo", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _read_json(out / "manifest.json")["args"]["p"] == 0.6
+
+
+def test_monte_carlo_commands_default_to_z2(tmp_path):
+    # on the line the default tail check resolves psi_n past n = 10 only with
+    # far more samples, so every command that takes --threads runs on z2
+    parser = build_parser()
+    defaults = {command: parser.parse_args([command]).lattice for command in (
+        "verify-domination", "verify-tail-bound", "couple-demo",
+        "verify-tail-bound-mc", "decay", "meanfield")}
+    assert defaults == {"verify-domination": "z1", "verify-tail-bound": "z1",
+                        "couple-demo": "z1", "verify-tail-bound-mc": "z2",
+                        "decay": "z2", "meanfield": "z2"}
+    out = tmp_path / "tailmc"
+    assert main(["verify-tail-bound-mc", "--samples", "2000", "--out", str(out)]) == 0
+    assert _read_json(out / "manifest.json")["args"]["lattice"] == "z2"
+    rows = (out / "tail_bound.csv").read_text().splitlines()
+    assert rows[2].startswith("0.45,0.1,20,") and rows[2].endswith(",PASS")
 
 
 def test_cli_import_does_not_load_scipy():

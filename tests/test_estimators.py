@@ -164,9 +164,10 @@ def test_empty_n_list_is_rejected_before_any_growth(z2, monkeypatch):
         tail_bound_verdict(z2, 0.4, 0.1, [], 100, rng_seed=1)
 
 
-def test_pool_starts_one_worker_per_block(z2, monkeypatch):
-    # fork starts every worker on the first submit, so an idle one is a
-    # wasted process; the stand-in runs the blocks serially and starts none
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every pool the estimators open.  The stand-in
+    runs the blocks serially here and starts no process."""
     sizes = []
 
     class SerialPool:
@@ -183,13 +184,31 @@ def test_pool_starts_one_worker_per_block(z2, monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(percolab.estimators, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_pool_starts_one_worker_per_block(z2, monkeypatch, pool_sizes):
+    # fork starts every worker on the first submit, so an idle one is a
+    # wasted process; four CPUs leave the block count the only bound
+    monkeypatch.setattr(percolab.estimators.os, "cpu_count", lambda: 4)
     serial = psi_curve(z2, 0.4, [1, 3], 3, rng_seed=2)
     assert psi_curve(z2, 0.4, [1, 3], 3, rng_seed=2, threads=8) == serial
     assert psi_curve(z2, 0.4, [1, 3], 3, rng_seed=2, threads=2) == serial
     # one replicate is one block, which runs here with no pool at all
     serial = psi_curve(z2, 0.4, [1, 3], 1, rng_seed=2)
     assert psi_curve(z2, 0.4, [1, 3], 1, rng_seed=2, threads=2) == serial
-    assert sizes == [3, 2]
+    assert pool_sizes == [3, 2]
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (1, 1), (None, 1)])
+def test_pool_starts_at_most_one_worker_per_cpu(z2, monkeypatch, pool_sizes, cpus,
+                                                workers):
+    # a large --threads keeps its blocks, and so its outputs, but starts no
+    # more CPU-bound workers than there are CPUs; an unknown count means one
+    monkeypatch.setattr(percolab.estimators.os, "cpu_count", lambda: cpus)
+    serial = psi_curve(z2, 0.4, [1, 3], 64, rng_seed=2)
+    assert psi_curve(z2, 0.4, [1, 3], 64, rng_seed=2, threads=64) == serial
+    assert pool_sizes == [workers]
 
 
 def test_meanfield_requires_z2(z1):
