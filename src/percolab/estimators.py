@@ -23,9 +23,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import _open_reach, grow_cluster_size, replicate_key
+from .core import (_open_reach, batch_covers, check_cap, grow_cluster_size, grow_sizes,
+                   replicate_key)
 from .lattices import HYPERCUBIC, LatticeSpec
-from .streams import stream
+from .streams import derive_key, stream
 
 EXP_PSI = 11
 EXP_MAG = 12
@@ -106,6 +107,7 @@ def _collect_sizes(spec, p, cap, samples, rng_seed, experiment, threads=1):
     most ``threads`` blocks: one block runs here, more in a pool of one worker
     per block up to one per CPU, or here in turn when no process can start."""
     _check_sampling(p, samples)
+    check_cap(cap)
     args = [(spec, p, cap, rng_seed, experiment, lo, hi)
             for lo, hi in _split_blocks(samples, threads)]
     if len(args) == 1:
@@ -124,7 +126,12 @@ def _split_blocks(n, k):
 
 
 def _sizes_block(args):
+    """Sizes and truncation flags of replicates ``lo`` to ``hi - 1``: grown
+    in batches where ``core.grow_sizes`` covers the lattice and cap, else one
+    replicate at a time; both give the same arrays."""
     spec, p, cap, rng_seed, experiment, lo, hi = args
+    if batch_covers(spec, cap):
+        return grow_sizes(spec, p, cap, derive_key(rng_seed, experiment), lo, hi)
     sizes = np.empty(hi - lo, dtype=np.int64)
     trunc = np.empty(hi - lo, dtype=bool)
     for i, rep in enumerate(range(lo, hi)):

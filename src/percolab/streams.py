@@ -21,15 +21,26 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _INV53 = 1.0 / (1 << 53)
 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer; a bijection on 64-bit integers."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of each entry of a uint64 array; its wraparound is the mask."""
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 def derive_key(seed: int, *path: int) -> int:
@@ -38,6 +49,12 @@ def derive_key(seed: int, *path: int) -> int:
     for part in path:
         acc = mix64(acc ^ mix64((part * _GOLDEN) & _MASK64))
     return acc
+
+
+def derive_keys(key: int, parts: np.ndarray) -> np.ndarray:
+    """``derive_key(seed, *path, part)`` for each entry of the uint64 array
+    ``parts``, given ``key = derive_key(seed, *path)``."""
+    return mix64_array(np.uint64(key) ^ mix64_array(parts * np.uint64(_GOLDEN)))
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -52,3 +69,10 @@ def keyed_uniform(rkey: int, ekey: int) -> float:
     z = mix64(rkey ^ ((ekey * _GOLDEN) & _MASK64))
     z = mix64(z)
     return (z >> 11) * _INV53
+
+
+def keyed_uniforms(rkeys: np.ndarray, ekeys: np.ndarray) -> np.ndarray:
+    """``keyed_uniform`` of each pair of entries of two uint64 arrays; an edge
+    key is reduced mod 2^64 exactly as the scalar form reduces it."""
+    z = mix64_array(mix64_array(rkeys ^ (ekeys * np.uint64(_GOLDEN))))
+    return (z >> np.uint64(11)) * _INV53

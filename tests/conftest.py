@@ -1,5 +1,6 @@
 import pytest
 
+import percolab.estimators
 from percolab.lattices import GraphBall, LatticeSpec, build_ball
 
 
@@ -42,3 +43,26 @@ def tree3_ball1(tree3):
 def single_edge_ball(z1):
     # Two vertices joined by one edge; the smallest graph with an edge.
     return GraphBall(z1, 1, [(0,), (1,)], [(0, 1)], [0, 1])
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every pool the estimators open.  The stand-in
+    runs the blocks serially here and starts no process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(percolab.estimators, "ProcessPoolExecutor", SerialPool)
+    return sizes

@@ -394,6 +394,14 @@ def test_decay_rejects_short_fit_range_before_growing(tmp_path):
     assert not out.exists()
 
 
+def test_decay_cap_past_the_budget_starts_no_pool(tmp_path, pool_sizes):
+    out = tmp_path / "huge"
+    assert main(["decay", "--lattice", "z2", "--n-max", "1000010", "--threads", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert pool_sizes == []
+
+
 def test_decay_fit_failure_writes_nothing(tmp_path):
     # on z1 at this sample count no tail past n = 20 is seen, so the fit has
     # no points; the curve is not written without it

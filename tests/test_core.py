@@ -6,14 +6,18 @@ import pytest
 from percolab.core import (
     EXP_GROW,
     MAX_CLUSTER_CAP,
+    _grow,
     _open_reach,
+    batch_covers,
     grow_cluster_size,
+    grow_sizes,
     lazy_cluster,
+    replicate_key,
 )
 from percolab.errors import CapExceeded
 from percolab.exact import exact_magnetization
-from percolab.lattices import build_ball
-from percolab.streams import derive_key, stream
+from percolab.lattices import LatticeSpec, build_ball
+from percolab.streams import derive_key, derive_keys, stream
 from reference import cluster_of_origin, edge_coords, sample_config, sample_config_keyed
 
 
@@ -136,3 +140,69 @@ def test_grow_matches_lazy_cluster(z2):
 def test_grow_cluster_size_tree(tree3):
     assert grow_cluster_size(tree3, 0.0, 10, 42) == (1, False)
     assert grow_cluster_size(tree3, 1.0, 64, 42) == (64, True)
+
+
+def _scalar_sizes(spec, p, cap, seed, lo, hi):
+    return [grow_cluster_size(spec, p, cap, replicate_key(seed, EXP_GROW, rep))
+            for rep in range(lo, hi)]
+
+
+def _batched_sizes(spec, p, cap, seed, lo, hi):
+    sizes, trunc = grow_sizes(spec, p, cap, derive_key(seed, EXP_GROW), lo, hi)
+    assert sizes.dtype == np.int64 and trunc.dtype == bool
+    return [(int(s), bool(t)) for s, t in zip(sizes, trunc)]
+
+
+# per lattice: a subcritical and a supercritical p (the line has p_c = 1)
+_GROWTH_CASES = {
+    "z1": (LatticeSpec.hypercubic(1), 0.5, 0.9),
+    "z2": (LatticeSpec.hypercubic(2), 0.4, 0.6),
+    "tri": (LatticeSpec.triangular(), 0.3, 0.5),
+    "z3": (LatticeSpec.hypercubic(3), 0.2, 0.35),
+    "tree3": (LatticeSpec.regular_tree(3), 0.45, 0.6),
+}
+
+
+@pytest.mark.parametrize("cap", [1, 2, 120, 691])
+@pytest.mark.parametrize("lattice", sorted(_GROWTH_CASES))
+def test_batched_growth_matches_scalar(lattice, cap):
+    # the keyed uniforms fix the open edges, so growing breadth-first in
+    # batches reveals the same cluster as the depth-first scalar loop
+    spec, sub, sup = _GROWTH_CASES[lattice]
+    assert batch_covers(spec, cap)
+    n = 60 if cap < 691 else 12
+    for p in (0.0, sub, sup, 1.0):
+        got = _batched_sizes(spec, p, cap, 5, 3, 3 + n)
+        assert got == _scalar_sizes(spec, p, cap, 5, 3, 3 + n), (lattice, p, cap)
+    assert got == [(cap, True)] * n  # p = 1: every cluster is infinite
+
+
+def test_batched_growth_matches_scalar_past_64_bit_tree_keys():
+    # regular_tree(2) keys a vertex at depth k by about 3^k, past 2^64 from
+    # depth 41; both kernels reduce edge keys mod 2^64 the same way
+    spec = LatticeSpec.regular_tree(2)
+    deepest = max(max(_grow(spec, 0.99, 100, replicate_key(0, EXP_GROW, rep))[0])
+                  for rep in range(40))
+    assert deepest >= 2 ** 64
+    got = _batched_sizes(spec, 0.99, 100, 0, 0, 40)
+    assert got == _scalar_sizes(spec, 0.99, 100, 0, 0, 40)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_vectorized_replicate_keys(seed):
+    reps = [0, 1, 2, 999, 2 ** 40, 2 ** 64 - 1]
+    got = derive_keys(derive_key(seed, 11), np.array(reps, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert [int(k) for k in got] == [replicate_key(seed, 11, rep) for rep in reps]
+
+
+def test_batch_coverage():
+    # packed (replicate, vertex key) pairs must fit in 63 bits: d >= 4
+    # never fits, z3 stops fitting at large caps, trees need no packing
+    z3, z4 = LatticeSpec.hypercubic(3), LatticeSpec.hypercubic(4)
+    assert all(batch_covers(z3, cap) for cap in (1, 2, 120, 691, 100_000))
+    assert not batch_covers(z3, MAX_CLUSTER_CAP)
+    assert not any(batch_covers(z4, cap) for cap in (1, 2, 120))
+    for spec in (LatticeSpec.hypercubic(2), LatticeSpec.triangular(),
+                 LatticeSpec.regular_tree(3)):
+        assert batch_covers(spec, MAX_CLUSTER_CAP)

@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import percolab.estimators
+from percolab.core import MAX_CLUSTER_CAP, grow_cluster_size, replicate_key
+from percolab.errors import CapExceeded
 from percolab.estimators import (
     DEFAULT_CONFIDENCE,
+    EXP_PSI,
     Z,
     EstimateCI,
+    _collect_sizes,
+    _sizes_block,
     crossing_probability,
     decay_fit,
     estimate_magnetization,
@@ -19,7 +24,7 @@ from percolab.estimators import (
     wilson_interval,
 )
 from percolab.exact import psi_table
-from percolab.lattices import build_ball
+from percolab.lattices import LatticeSpec, build_ball
 from reference import estimate_psi_on_ball, tree_cluster_law
 
 
@@ -158,33 +163,46 @@ def test_empty_n_list_is_rejected_before_any_growth(z2, monkeypatch):
     def no_growth(*args):
         raise AssertionError("grew a cluster")
     monkeypatch.setattr(percolab.estimators, "grow_cluster_size", no_growth)
+    monkeypatch.setattr(percolab.estimators, "grow_sizes", no_growth)
     with pytest.raises(ValueError, match="n_list"):
         psi_curve(z2, 0.4, [], 100, rng_seed=1)
     with pytest.raises(ValueError, match="n_list"):
         tail_bound_verdict(z2, 0.4, 0.1, [], 100, rng_seed=1)
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The ``max_workers`` of every pool the estimators open.  The stand-in
-    runs the blocks serially here and starts no process."""
-    sizes = []
+def test_cap_is_checked_before_any_pool_starts(z2, pool_sizes):
+    # a cap past the budget fails here, not once in every worker
+    with pytest.raises(CapExceeded):
+        psi_curve(z2, 0.4, [MAX_CLUSTER_CAP + 10], 10, rng_seed=0, threads=2)
+    with pytest.raises(ValueError, match="cap"):
+        _collect_sizes(z2, 0.4, 0, 10, 0, EXP_PSI, threads=2)
+    assert pool_sizes == []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+@pytest.mark.parametrize("lo, hi", [(5, 5 + 273 + 17), (0, 1)])
+def test_sizes_block_matches_scalar_growth(z2, lo, hi):
+    # a block starting past 0 whose length is no multiple of the batch
+    # kernel's chunk (273 replicates at cap 120) keeps each replicate's key
+    sizes, trunc = _sizes_block((z2, 0.45, 120, 3, EXP_PSI, lo, hi))
+    scalar = [grow_cluster_size(z2, 0.45, 120, replicate_key(3, EXP_PSI, rep))
+              for rep in range(lo, hi)]
+    assert [(int(s), bool(t)) for s, t in zip(sizes, trunc)] == scalar
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(percolab.estimators, "ProcessPoolExecutor", SerialPool)
-    return sizes
+def test_growth_kernel_by_lattice(z2, monkeypatch):
+    # z2 grows in batches; hypercubic(4), whose keys do not fit, one
+    # replicate at a time through the scalar loop
+    def no_growth(*args):
+        raise AssertionError("grew a cluster")
+    z4 = LatticeSpec.hypercubic(4)
+    monkeypatch.setattr(percolab.estimators, "grow_cluster_size", no_growth)
+    psi_curve(z2, 0.4, [5], 50, rng_seed=1)
+    with pytest.raises(AssertionError, match="grew"):
+        psi_curve(z4, 0.1, [5], 50, rng_seed=1)
+    monkeypatch.undo()
+    monkeypatch.setattr(percolab.estimators, "grow_sizes", no_growth)
+    est = psi_curve(z4, 0.1, [1, 5], 50, rng_seed=1)
+    assert est[1].point == 1.0
 
 
 def test_pool_starts_one_worker_per_block(z2, monkeypatch, pool_sizes):
