@@ -58,18 +58,28 @@ def _open_reach(incidence, roots, config) -> set:
 # ---------------------------------------------------------------------------
 # Lazy growth on the infinite lattice.
 #
-# One scalar loop serves every family: it works on integer vertex keys (see
-# lattices) and draws one keyed uniform per edge leaving the cluster.
-# lazy_cluster reads its members; the estimators use it where the batched
-# kernel below does not reach, and the tests pin that kernel against it.
+# One scalar loop works on integer vertex keys (see lattices) and draws one
+# keyed uniform per edge leaving the cluster: lazy_cluster reads its
+# members, and the tests pin the batched kernel below against it.
 # ---------------------------------------------------------------------------
 
-def check_cap(cap):
-    """Reject a growth cap below 1 or above the memory budget."""
+def check_cap(spec: LatticeSpec, cap: int):
+    """Reject a growth cap below 1, above the memory budget, or past the key
+    encoding range.
+
+    Off a tree, ``grow_sizes`` packs a chunk's (replicate, vertex key) pairs
+    in 63 bits.  A vertex of a cluster of at most ``cap`` vertices lies
+    within cap - 1 steps of the origin, so its key is at most (cap - 1)
+    times the sum of the offsets in size: z3 fits up to cap 262,144, and
+    hypercubic d >= 4, whose edge keys would alias mod 2^64, never fits.
+    """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if cap > MAX_CLUSTER_CAP:
         raise CapExceeded(f"cap {cap} exceeds the memory budget {MAX_CLUSTER_CAP}")
+    if (spec.family != REGULAR_TREE
+            and _chunk(cap) * (2 * cap - 1) * sum(spec._layout[1]) >= 2 ** 63):
+        raise CapExceeded(f"cap {cap} on this lattice exceeds the key encoding range")
 
 
 def _grow(spec, p, cap, rkey):
@@ -114,7 +124,7 @@ def lazy_cluster(spec: LatticeSpec, p: float, cap: int, rng_seed: int) -> Cluste
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    check_cap(cap)
+    check_cap(spec, cap)
     keys, truncated = _grow(spec, p, cap, derive_key(rng_seed, EXP_GROW))
     members = frozenset(key_to_coords(spec, k) for k in keys)
     return ClusterResult(members, len(members), truncated=truncated)
@@ -134,22 +144,11 @@ def _chunk(cap):
     return max(1, _BATCH_MEMBERS // cap)
 
 
-def batch_covers(spec: LatticeSpec, cap: int) -> bool:
-    """Whether ``grow_sizes`` grows ``spec`` at ``cap``: trees always, other
-    lattices while a chunk's packed (replicate, vertex key) pairs fit in 63
-    bits.  A vertex of a cluster of at most ``cap`` vertices lies within
-    cap - 1 steps of the origin, so its key is at most (cap - 1) times the
-    sum of the offsets in size; hypercubic d >= 4 never fits."""
-    if spec.family == REGULAR_TREE:
-        return True
-    return _chunk(cap) * (2 * cap - 1) * sum(spec._layout[1]) < 2 ** 63
-
-
 def grow_sizes(spec: LatticeSpec, p: float, cap: int, key: int, lo: int, hi: int):
     """``grow_cluster_size`` of replicates ``lo`` to ``hi - 1`` as (sizes,
     truncated) arrays, where replicate i is keyed ``derive_key(seed, *path,
-    i)`` and ``key = derive_key(seed, *path)``; ``batch_covers(spec, cap)``
-    must hold."""
+    i)`` and ``key = derive_key(seed, *path)``; ``check_cap(spec, cap)``
+    must pass."""
     grow = _tree_layers if spec.family == REGULAR_TREE else _lattice_layers
     sizes = np.empty(hi - lo, dtype=np.int64)
     step = _chunk(cap)

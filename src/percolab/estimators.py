@@ -19,12 +19,15 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 
-from .core import (_open_reach, batch_covers, check_cap, grow_cluster_size, grow_sizes,
-                   replicate_key)
+from .core import _open_reach, check_cap, grow_sizes
+# Unused here: perfbench/tracer.py wraps these two names, so they stay until
+# the tracer changes with the benchmark.
+from .core import grow_cluster_size, replicate_key  # noqa: F401
 from .lattices import HYPERCUBIC, LatticeSpec
 from .streams import derive_key, stream
 
@@ -103,42 +106,28 @@ def _check_sampling(p, samples):
 
 
 def _collect_sizes(spec, p, cap, samples, rng_seed, experiment, threads=1):
-    """Per-replicate cluster sizes (capped) and truncation flags, grown in at
-    most ``threads`` blocks: one block runs here, more in a pool of one worker
-    per block up to one per CPU, or here in turn when no process can start."""
+    """Per-replicate cluster sizes (capped) and truncation flags from
+    ``core.grow_sizes``, grown in at most ``threads`` blocks: one block runs
+    here, more in a pool of one worker per block up to one per CPU, or here
+    in turn when no process can start."""
     _check_sampling(p, samples)
-    check_cap(cap)
-    args = [(spec, p, cap, rng_seed, experiment, lo, hi)
-            for lo, hi in _split_blocks(samples, threads)]
-    if len(args) == 1:
-        return _sizes_block(args[0])
+    check_cap(spec, cap)
+    grow = partial(grow_sizes, spec, p, cap, derive_key(rng_seed, experiment))
+    blocks = _split_blocks(samples, threads)
+    if len(blocks) == 1:
+        return grow(0, samples)
+    los, his = zip(*blocks)
     try:
-        with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_sizes_block, args))
+        with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
+            parts = list(pool.map(grow, los, his))
     except OSError:
-        parts = [_sizes_block(a) for a in args]
+        parts = list(map(grow, los, his))
     return np.concatenate([s for s, _ in parts]), np.concatenate([t for _, t in parts])
 
 
 def _split_blocks(n, k):
     step = (n + k - 1) // k
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def _sizes_block(args):
-    """Sizes and truncation flags of replicates ``lo`` to ``hi - 1``: grown
-    in batches where ``core.grow_sizes`` covers the lattice and cap, else one
-    replicate at a time; both give the same arrays."""
-    spec, p, cap, rng_seed, experiment, lo, hi = args
-    if batch_covers(spec, cap):
-        return grow_sizes(spec, p, cap, derive_key(rng_seed, experiment), lo, hi)
-    sizes = np.empty(hi - lo, dtype=np.int64)
-    trunc = np.empty(hi - lo, dtype=bool)
-    for i, rep in enumerate(range(lo, hi)):
-        s, t = grow_cluster_size(spec, p, cap, replicate_key(rng_seed, experiment, rep))
-        sizes[i] = s
-        trunc[i] = t
-    return sizes, trunc
 
 
 def _n_values(n_list):

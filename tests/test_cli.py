@@ -402,6 +402,15 @@ def test_decay_cap_past_the_budget_starts_no_pool(tmp_path, pool_sizes):
     assert pool_sizes == []
 
 
+def test_decay_past_the_key_range_starts_no_pool(tmp_path, pool_sizes):
+    # z3 keys of a cap past 262,144 vertices do not fit the batch packing
+    out = tmp_path / "deep"
+    assert main(["decay", "--lattice", "z3", "--n-max", "300000", "--threads", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert pool_sizes == []
+
+
 def test_decay_fit_failure_writes_nothing(tmp_path):
     # on z1 at this sample count no tail past n = 20 is seen, so the fit has
     # no points; the curve is not written without it

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import percolab.core
 from percolab.core import (
     EXP_GROW,
     MAX_CLUSTER_CAP,
     _grow,
     _open_reach,
-    batch_covers,
+    check_cap,
     grow_cluster_size,
     grow_sizes,
     lazy_cluster,
@@ -169,7 +170,7 @@ def test_batched_growth_matches_scalar(lattice, cap):
     # the keyed uniforms fix the open edges, so growing breadth-first in
     # batches reveals the same cluster as the depth-first scalar loop
     spec, sub, sup = _GROWTH_CASES[lattice]
-    assert batch_covers(spec, cap)
+    check_cap(spec, cap)
     n = 60 if cap < 691 else 12
     for p in (0.0, sub, sup, 1.0):
         got = _batched_sizes(spec, p, cap, 5, 3, 3 + n)
@@ -197,12 +198,26 @@ def test_vectorized_replicate_keys(seed):
 
 
 def test_batch_coverage():
-    # packed (replicate, vertex key) pairs must fit in 63 bits: d >= 4
-    # never fits, z3 stops fitting at large caps, trees need no packing
+    # packed (replicate, vertex key) pairs must fit in 63 bits: z3 stops
+    # fitting past cap 262,144, d >= 4 never fits, and the 2-D lattices and
+    # trees fit up to the memory budget
     z3, z4 = LatticeSpec.hypercubic(3), LatticeSpec.hypercubic(4)
-    assert all(batch_covers(z3, cap) for cap in (1, 2, 120, 691, 100_000))
-    assert not batch_covers(z3, MAX_CLUSTER_CAP)
-    assert not any(batch_covers(z4, cap) for cap in (1, 2, 120))
-    for spec in (LatticeSpec.hypercubic(2), LatticeSpec.triangular(),
-                 LatticeSpec.regular_tree(3)):
-        assert batch_covers(spec, MAX_CLUSTER_CAP)
+    for cap in (1, 2, 120, 691, 100_000, 262_144):
+        check_cap(z3, cap)
+    for spec, cap in [(z3, 262_145), (z3, MAX_CLUSTER_CAP), (z4, 1), (z4, 2), (z4, 120)]:
+        with pytest.raises(CapExceeded, match="key encoding range"):
+            check_cap(spec, cap)
+    for spec in (LatticeSpec.hypercubic(1), LatticeSpec.hypercubic(2),
+                 LatticeSpec.triangular(), LatticeSpec.regular_tree(3)):
+        check_cap(spec, MAX_CLUSTER_CAP)
+
+
+def test_lazy_cluster_past_the_key_range_grows_nothing(monkeypatch):
+    # on hypercubic(4) the edge keys alias mod 2^64, so no cluster is grown
+    def no_growth(*args):
+        raise AssertionError("grew a cluster")
+    monkeypatch.setattr(percolab.core, "_grow", no_growth)
+    with pytest.raises(CapExceeded, match="key encoding range"):
+        lazy_cluster(LatticeSpec.hypercubic(4), 0.1, cap=5, rng_seed=1)
+    with pytest.raises(CapExceeded, match="key encoding range"):
+        lazy_cluster(LatticeSpec.hypercubic(3), 0.1, cap=262_145, rng_seed=1)

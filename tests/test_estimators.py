@@ -14,7 +14,6 @@ from percolab.estimators import (
     Z,
     EstimateCI,
     _collect_sizes,
-    _sizes_block,
     crossing_probability,
     decay_fit,
     estimate_magnetization,
@@ -162,7 +161,6 @@ def test_empty_n_list_is_rejected_before_any_growth(z2, monkeypatch):
     # an empty list would check nothing, and the tail bound would pass
     def no_growth(*args):
         raise AssertionError("grew a cluster")
-    monkeypatch.setattr(percolab.estimators, "grow_cluster_size", no_growth)
     monkeypatch.setattr(percolab.estimators, "grow_sizes", no_growth)
     with pytest.raises(ValueError, match="n_list"):
         psi_curve(z2, 0.4, [], 100, rng_seed=1)
@@ -179,30 +177,31 @@ def test_cap_is_checked_before_any_pool_starts(z2, pool_sizes):
     assert pool_sizes == []
 
 
-@pytest.mark.parametrize("lo, hi", [(5, 5 + 273 + 17), (0, 1)])
-def test_sizes_block_matches_scalar_growth(z2, lo, hi):
-    # a block starting past 0 whose length is no multiple of the batch
-    # kernel's chunk (273 replicates at cap 120) keeps each replicate's key
-    sizes, trunc = _sizes_block((z2, 0.45, 120, 3, EXP_PSI, lo, hi))
+@pytest.mark.parametrize("samples", [581, 1])
+def test_collected_blocks_match_scalar_growth(z2, pool_sizes, samples):
+    # the second of two blocks starts at replicate 291, off the batch
+    # kernel's 273-replicate chunks at cap 120, and keeps each replicate's
+    # key; one replicate is one block, grown here with no pool
+    sizes, trunc = _collect_sizes(z2, 0.45, 120, samples, 3, EXP_PSI, threads=2)
     scalar = [grow_cluster_size(z2, 0.45, 120, replicate_key(3, EXP_PSI, rep))
-              for rep in range(lo, hi)]
+              for rep in range(samples)]
     assert [(int(s), bool(t)) for s, t in zip(sizes, trunc)] == scalar
+    assert pool_sizes == ([2] if samples > 1 else [])
 
 
-def test_growth_kernel_by_lattice(z2, monkeypatch):
-    # z2 grows in batches; hypercubic(4), whose keys do not fit, one
-    # replicate at a time through the scalar loop
+def test_growth_kernel_by_lattice(z2, monkeypatch, pool_sizes):
+    # z2 grows in batches; hypercubic(4), whose edge keys alias mod 2^64, is
+    # refused before any replicate grows or any pool starts
     def no_growth(*args):
         raise AssertionError("grew a cluster")
     z4 = LatticeSpec.hypercubic(4)
-    monkeypatch.setattr(percolab.estimators, "grow_cluster_size", no_growth)
-    psi_curve(z2, 0.4, [5], 50, rng_seed=1)
-    with pytest.raises(AssertionError, match="grew"):
-        psi_curve(z4, 0.1, [5], 50, rng_seed=1)
-    monkeypatch.undo()
+    assert psi_curve(z2, 0.4, [1, 5], 50, rng_seed=1)[1].point == 1.0
     monkeypatch.setattr(percolab.estimators, "grow_sizes", no_growth)
-    est = psi_curve(z4, 0.1, [1, 5], 50, rng_seed=1)
-    assert est[1].point == 1.0
+    with pytest.raises(CapExceeded, match="key encoding range"):
+        psi_curve(z4, 0.1, [5], 50, rng_seed=1, threads=2)
+    with pytest.raises(CapExceeded, match="key encoding range"):
+        estimate_magnetization(z4, 0.1, 0.05, 50, rng_seed=1, threads=2)
+    assert pool_sizes == []
 
 
 def test_pool_starts_one_worker_per_block(z2, monkeypatch, pool_sizes):
@@ -328,3 +327,39 @@ def test_tree_magnetization_covers_the_exact_law(tree3, p, h):
     exact = 1.0 - float(law @ np.exp(-h * np.arange(len(law))))
     est = estimate_magnetization(tree3, p, h, 2_000, rng_seed=4242)
     assert est.lower.lo <= exact <= est.upper.hi
+
+
+def _tree3_psi(p, s_max=20_000):
+    """psi_n = P(|C| >= n) on the 3-regular tree for n = 0 .. s_max, summed
+    from the top of the law, not as 1 - P(|C| < n), which cancels in deep
+    tails; theta = 1 - ((1 - p) / p)^3 is the infinite cluster's mass."""
+    law = tree_cluster_law(3, p, s_max)
+    theta = max(0.0, 1.0 - ((1.0 - p) / p) ** 3)
+    return law, np.cumsum(law[::-1])[::-1] + theta, theta
+
+
+@pytest.mark.parametrize("p", [0.2, 0.3, 0.45, 0.6, 0.9])
+def test_tail_inequality_holds_exactly_on_the_tree(p):
+    # psi_n(q) <= psi_n(p) e^{-h n} / (1 - m) with q = p (1 - m), where an
+    # infinite cluster always meets a green vertex; at p = 1/2 the law cut
+    # at s_max misses mass of order s_max^{-1/2}, so it is left out
+    law, psi_p, theta = _tree3_psi(p)
+    n = np.arange(1, 150)
+    for h in (0.01, 0.1, 1.0):
+        m = float(law @ -np.expm1(-h * np.arange(len(law)))) + theta
+        psi_q = _tree3_psi(p * (1.0 - m))[1]
+        ratio = psi_q[n] / (psi_p[n] * np.exp(-h * n) / (1.0 - m))
+        assert ratio.max() <= 1.0, (p, h, int(n[ratio.argmax()]))
+
+
+@pytest.mark.slow
+def test_tree_psi_curve_coverage_over_many_seeds(tree3):
+    # each interval misses with probability 1e-3; even at twice that rate,
+    # more than 4 misses in 300 seeds has probability about 4e-4
+    psi = _tree3_psi(0.45)[1]
+    ns = (5, 20, 60, 120)
+    misses = dict.fromkeys(ns, 0)
+    for seed in range(300):
+        for n, est in psi_curve(tree3, 0.45, ns, 2_000, rng_seed=seed).items():
+            misses[n] += not est.lo <= psi[n] <= est.hi
+    assert max(misses.values()) <= 4, misses
