@@ -15,6 +15,7 @@ disjoint vertex sets the green indicators are independent, so joint
 probabilities factor into products of 1 - e^{-h |set|} terms.
 """
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -340,63 +341,195 @@ def fkg_sweep(ball: GraphBall, rule, p: float, h: float) -> list:
 # increasing event violating domination when the flow falls short.
 # ---------------------------------------------------------------------------
 
-class _Dinic:
-    def __init__(self, n):
-        self.n = n
-        self.to = []
-        self.cap = []
-        self.head = [[] for _ in range(n)]
+class _StrassenFlow:
+    """Dinic's max flow on the Strassen network of two weight vectors.
 
-    def add_edge(self, u, v, c):
-        """Add u -> v with capacity c; returns its id (the reverse is id ^ 1)."""
-        eid = len(self.to)
-        self.head[u].append(eid)
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0.0)
-        return eid
+    The vertices are the source, an x for every configuration with
+    mu(x) > 0, a y for every configuration with nu(y) > 0, and the sink.
+    Each vertex tries its arcs in one fixed order: the source its arcs to
+    the x's by ascending x; an x its pair arcs to every y >= x by descending
+    y; a y its arc to the sink, then its reverse pair arcs to the x's by
+    ascending x.  That order fixes which of the maximum flows, and so which
+    coupling, is found.
 
-    def max_flow(self, s, t):
-        """(max flow, BFS levels); vertices with a level >= 0 are those the
-        source reaches in the final residual graph, the source side of a
-        minimum cut."""
+    Pair arcs have capacity 2 but carry at most mu(x) <= 1, since the
+    source arc is the only arc into x, so they never saturate.  They are
+    not stored: only the pairs that have carried flow are, each as its
+    [forward, reverse] residual capacities, and every other pair is
+    (2.0, 0.0).  The two residuals are updated one push at a time, so the
+    coupling read back as 2.0 - forward is bit for bit the one a network of
+    explicit arcs would give.  The arcs back into the source and out of the
+    sink lie on no simple path from the source to the sink, so the source and sink
+    arcs keep only their forward residuals.
+    """
+
+    def __init__(self, mu_w, nu_w, n_edges):
+        self.n_edges = n_edges
+        self.ypos = nu_w > 0
+        self.scap = mu_w.tolist()  # source -> x
+        self.tcap = nu_w.tolist()  # y -> sink
+        self.pairs = {}  # x << E | y -> [forward, reverse] residuals
+        self.below = [[] for _ in range(1 << n_edges)]  # y -> paired x's, ascending
+
+    def max_flow(self):
+        """(max flow, bool mask of the x's the source reaches in the final
+        residual graph: the source side of a minimum cut)."""
         flow = 0.0
         while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:  # appended to while it is walked, so a FIFO queue
-                for eid in self.head[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > FLOW_EPS and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow, level
-            it = [0] * self.n
+            levx, levy, sink_level = self._levels()
+            if not sink_level:
+                return flow, levx >= 0
+            flow = self._blocking_flow(levx, levy, sink_level, flow)
 
-            def dfs(u, limit):
-                if u == t:
-                    return limit
-                while it[u] < len(self.head[u]):
-                    eid = self.head[u][it[u]]
-                    v = self.to[eid]
-                    if self.cap[eid] > FLOW_EPS and level[v] == level[u] + 1:
-                        pushed = dfs(v, min(limit, self.cap[eid]))
-                        if pushed > FLOW_EPS:
-                            self.cap[eid] -= pushed
-                            self.cap[eid ^ 1] += pushed
-                            return pushed
-                    it[u] += 1
-                return 0.0
+    def _levels(self):
+        """Residual BFS levels of the x's and y's (-1: not reached) and the
+        sink's level, 0 when the sink is not reached.  The BFS stops at the
+        sink's level: no vertex beyond it lies on a shortest path."""
+        E, pairs, below, tcap = self.n_edges, self.pairs, self.below, self.tcap
+        levx = np.full(1 << E, -1, dtype=np.int32)
+        levy = np.full(1 << E, -1, dtype=np.int32)
+        front = np.array(self.scap) > FLOW_EPS
+        level = 1
+        while front.any():
+            levx[front] = level
+            reached = _closure(front, E) & self.ypos & (levy < 0)
+            ys = np.flatnonzero(reached).tolist()
+            if not ys:
+                break
+            levy[reached] = level + 1
+            if any(tcap[y] > FLOW_EPS for y in ys):
+                return levx, levy, level + 2
+            front = np.zeros(1 << E, dtype=bool)
+            for y in ys:
+                for x in below[y]:
+                    if pairs[x << E | y][1] > FLOW_EPS and levx[x] < 0:
+                        front[x] = True
+            level += 2
+        return levx, levy, 0
 
-            while True:
-                pushed = dfs(s, float("inf"))
-                if pushed <= FLOW_EPS:
-                    break
-                flow += pushed
+    def _useful(self, levx, levy, sink_level):
+        """The level graph cut down to the vertices that reach the sink in it,
+        by a backward pass from the sink: (the source's x's, ascending;
+        ylive, each y's level or -1; down, each y's x's one level up through
+        residual reverse arcs, ascending, for the y's below the sink's
+        level)."""
+        E, pairs = self.n_edges, self.pairs
+        ylive = [-1] * (1 << E)
+        live = (levy == sink_level - 1) & (np.array(self.tcap) > FLOW_EPS)
+        for y in np.flatnonzero(live).tolist():
+            ylive[y] = sink_level - 1
+        down = {}
+        for level in range(sink_level - 2, 1, -2):
+            xlive = ((levx == level) & _closure(live, E, up=False)).tolist()
+            live = np.zeros(1 << E, dtype=bool)
+            for y in np.flatnonzero(levy == level - 1).tolist():
+                xs = [x for x in self.below[y]
+                      if xlive[x] and pairs[x << E | y][1] > FLOW_EPS]
+                if xs:
+                    down[y], ylive[y], live[y] = xs, level - 1, True
+        sources = np.flatnonzero((levx == 1) & _closure(live, E, up=False)).tolist()
+        return sources, ylive, down
+
+    def _blocking_flow(self, levx, levy, sink_level, flow):
+        """Augment along shortest paths until none is left; returns the flow.
+
+        Only arcs that are admissible (residual, one level up) and lead to a
+        vertex that reaches the sink in the level graph are tried: within a
+        phase arcs only close, so no other arc could carry flow.  A vertex
+        that runs out of arcs is dead for the rest of the phase (ylive -1,
+        or xnext -1).  After an augmentation the path is cut back to the
+        tail of its first saturated arc, where a walk from the source would
+        arrive again.
+        """
+        E, pairs, scap, tcap = self.n_edges, self.pairs, self.scap, self.tcap
+        full = (1 << E) - 1
+        sources, ylive, down = self._useful(levx, levy, sink_level)
+        # xnext[x]: the s with y = x | s that x tries next, -1 once x is dead;
+        # s runs down the subsets of ~x, so y runs down the supersets of x
+        xnext = [full ^ x for x in range(1 << E)]
+        ynext = dict.fromkeys(down, 0)
+        path = []  # x, y, x, y, ...: path[k] sits at level k + 1
+        k_src = 0
+        while True:
+            depth = len(path)
+            if not depth:
+                while k_src < len(sources):
+                    x = sources[k_src]
+                    if scap[x] > FLOW_EPS and xnext[x] >= 0:
+                        break
+                    k_src += 1
+                else:
+                    return flow
+                path.append(x)
+            elif depth & 1:  # an x: its next useful pair arc
+                x = path[-1]
+                s, rest, up = xnext[x], full ^ x, depth + 1
+                while s >= 0 and ylive[x | s] != up:
+                    s = (s - 1) & rest if s else -1
+                xnext[x] = s
+                if s < 0:
+                    path.pop()
+                else:
+                    path.append(x | s)
+            elif depth < sink_level - 1:  # a y: its next useful reverse arc
+                y = path[-1]
+                xs, k = down[y], ynext[y]
+                while k < len(xs) and not (pairs[xs[k] << E | y][1] > FLOW_EPS
+                                           and xnext[xs[k]] >= 0):
+                    k += 1
+                ynext[y] = k
+                if k == len(xs):
+                    ylive[y] = -1
+                    path.pop()
+                else:
+                    path.append(xs[k])
+            elif not tcap[path[-1]] > FLOW_EPS:  # a y whose sink arc is full
+                ylive[path.pop()] = -1
+            else:
+                flow = self._augment(path, flow)
+
+    def _augment(self, path, flow):
+        """Push the path's bottleneck from the source to the sink, then cut
+        the path back to the tail of its first arc left with capacity
+        <= FLOW_EPS; returns the new flow."""
+        E, pairs, scap, tcap = self.n_edges, self.pairs, self.scap, self.tcap
+        pushed = min(scap[path[0]], tcap[path[-1]])
+        for k in range(1, len(path)):
+            if k & 1:
+                caps = pairs.get(path[k - 1] << E | path[k])
+                pushed = min(pushed, 2.0 if caps is None else caps[0])
+            else:
+                pushed = min(pushed, pairs[path[k] << E | path[k - 1]][1])
+        scap[path[0]] -= pushed
+        tcap[path[-1]] -= pushed
+        cut = len(path) if scap[path[0]] > FLOW_EPS else 0
+        for k in range(1, len(path)):
+            if k & 1:  # x -> y
+                key = path[k - 1] << E | path[k]
+                caps = pairs.get(key)
+                if caps is None:
+                    caps = pairs[key] = [2.0, 0.0]
+                    bisect.insort(self.below[path[k]], path[k - 1])
+                caps[0] -= pushed
+                caps[1] += pushed
+            else:  # y -> x, against a pair arc
+                caps = pairs[path[k] << E | path[k - 1]]
+                caps[1] -= pushed
+                caps[0] += pushed
+                if caps[1] <= FLOW_EPS and k < cut:
+                    cut = k
+        del path[cut:]
+        return flow + pushed
+
+    def coupling(self):
+        """{(x, y): flow carried} over the pairs carrying more than 1e-12,
+        by ascending x, then descending y."""
+        E = self.n_edges
+        mask = (1 << E) - 1
+        return {(key >> E, key & mask): 2.0 - caps[0]
+                for key, caps in sorted(self.pairs.items(),
+                                        key=lambda item: (item[0] >> E, -item[0]))
+                if 2.0 - caps[0] > 1e-12}
 
 
 def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCertificate:
@@ -405,43 +538,25 @@ def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCe
         raise ValueError("measures live on different edge sets")
     E = mu.n_edges
     _check_measure_cap(E, FLOW_CAP, "flow certification")
-    xs = [int(c) for c in np.nonzero(mu.weights > 0)[0]]
-    ys = [int(c) for c in np.nonzero(nu.weights > 0)[0]]
-    x_id = {c: 1 + i for i, c in enumerate(xs)}
-    y_id = {c: 1 + len(xs) + i for i, c in enumerate(ys)}
-    src, sink = 0, 1 + len(xs) + len(ys)
-    net = _Dinic(sink + 1)
-    for c in xs:
-        net.add_edge(src, x_id[c], float(mu.weights[c]))
-    for c in ys:
-        net.add_edge(y_id[c], sink, float(nu.weights[c]))
-    configs = np.arange(1 << E)
-    nu_pos = nu.weights > 0
-    # per x: every y >= x with nu(y) > 0 and its edge id; adding the largest y
-    # first fixes which of the maximum flows, and so which coupling, is found
-    pairs = []
-    for x in xs:
-        above = configs[((configs & x) == x) & nu_pos][::-1]
-        pairs.append((x, above, [net.add_edge(x_id[x], y_id[y], 2.0)
-                                 for y in above.tolist()]))
-    flow, level = net.max_flow(src, sink)
+    net = _StrassenFlow(mu.weights, nu.weights, E)
+    flow, reached = net.max_flow()
     if flow >= 1.0 - FLOW_TOL:
-        # pair edges had capacity 2; the shipped amount is 2 - residual
-        coupling = {(x, y): 2.0 - net.cap[eid] for x, above, eids in pairs
-                    for y, eid in zip(above.tolist(), eids) if 2.0 - net.cap[eid] > 1e-12}
-        return DominationCertificate(True, flow, E, coupling=coupling)
-    seeds = np.zeros(1 << E, dtype=bool)
-    seeds[[c for c in xs if level[x_id[c]] >= 0]] = True
-    event = _up_closure(seeds, E)
+        return DominationCertificate(True, flow, E, coupling=net.coupling())
+    event = _closure(reached, E)
     gap = float(mu.weights[event].sum() - nu.weights[event].sum())
     return DominationCertificate(False, flow, E, event_mask=event, gap=gap)
 
 
-def _up_closure(indicator: np.ndarray, n_edges: int) -> np.ndarray:
-    """Smallest increasing event containing the marked configurations."""
+def _closure(indicator: np.ndarray, n_edges: int, up: bool = True) -> np.ndarray:
+    """Smallest increasing (``up``) or decreasing event containing the marked
+    configurations."""
     event = indicator.copy()
-    for bit, flip in zip(_edge_bits(n_edges), _flips(n_edges)):
-        event |= bit & event[flip]
+    for e in range(n_edges):
+        halves = event.reshape(-1, 2, 1 << e)  # [:, 1] has edge e open
+        if up:
+            halves[:, 1] |= halves[:, 0]
+        else:
+            halves[:, 0] |= halves[:, 1]
     return event
 
 
@@ -459,7 +574,7 @@ def verify_certificate(cert: DominationCertificate, mu: ExplicitMeasure,
         return bool(np.abs(row - mu.weights).max() <= CERT_TOL
                     and np.abs(col - nu.weights).max() <= CERT_TOL)
     event = cert.event_mask
-    if not np.array_equal(_up_closure(event, cert.n_edges), event):
+    if not np.array_equal(_closure(event, cert.n_edges), event):
         return False  # not an increasing event
     gap = float(mu.weights[event].sum() - nu.weights[event].sum())
     return bool(gap >= cert.gap - 1e-12 and gap > 0.0)

@@ -9,6 +9,8 @@ Two mechanisms are provided:
 
 * ``stream(seed, *path)`` -- a numpy Generator backed by Philox (itself a
   counter-based generator), for bulk draws such as edge configurations.
+  ``stream_random(seed, *path, size=n)`` draws the same uniforms as
+  ``stream(seed, *path).random(n)`` without building a Generator.
 * ``keyed_uniform(rkey, ekey)`` -- a single uniform attached to an integer
   key pair, used for lazy cluster growth.  Because the uniform is a pure
   function of (replicate key, edge key) and not of the order in which edges
@@ -16,6 +18,8 @@ Two mechanisms are provided:
   edge.  That is exactly the common-random-number coupling that makes
   cluster sizes pointwise monotone in the open probability.
 """
+
+import threading
 
 import numpy as np
 
@@ -57,11 +61,38 @@ def derive_keys(key: int, parts: np.ndarray) -> np.ndarray:
     return mix64_array(np.uint64(key) ^ mix64_array(parts * np.uint64(_GOLDEN)))
 
 
+def _philox_key(seed: int, *path: int) -> tuple:
+    """The two 64-bit words, low first, of the Philox key of (seed, *path)."""
+    k0 = derive_key(seed, *path)
+    return k0, mix64(k0 ^ _GOLDEN)
+
+
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent numpy Generator for (seed, *path)."""
-    k0 = derive_key(seed, *path)
-    k1 = mix64(k0 ^ _GOLDEN)
+    k0, k1 = _philox_key(seed, *path)
     return np.random.Generator(np.random.Philox(key=(k1 << 64) | k0))
+
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_PER_THREAD = threading.local()
+
+
+def stream_random(seed: int, *path: int, size: int) -> np.ndarray:
+    """``stream(seed, *path).random(size)``, without building a Generator.
+
+    One Generator per thread is re-keyed for each call.  Every call sets its
+    whole state, as ``stream`` builds it (the key, a zero counter, an empty
+    buffer), and returns a fresh array, so no call sees another's draws.
+    """
+    gen = getattr(_PER_THREAD, "gen", None)
+    if gen is None:
+        gen = _PER_THREAD.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4,
+                  "key": np.array(_philox_key(seed, *path), dtype=np.uint64)},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen.random(size)
 
 
 def keyed_uniform(rkey: int, ekey: int) -> float:

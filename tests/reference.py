@@ -2,9 +2,11 @@
 
 None of these is used by percolab's commands, demos or benchmark.  Each is
 the direct, configuration-by-configuration definition of a quantity that
-percolab computes some faster way, except ``tree_cluster_law``: the exact
-cluster-size law of the infinite regular tree, in closed form, against
-which the Monte Carlo estimators are checked.  The stream labels are fixed,
+percolab computes some faster way, except two.  ``tree_cluster_law`` is the
+exact cluster-size law of the infinite regular tree, in closed form, against
+which the Monte Carlo estimators are checked.  ``strassen_dominates`` is the
+recursive Dinic max flow that percolab.exact replaced by a levelled one;
+percolab must return its certificates bit for bit.  The stream labels are fixed,
 so every test input they draw is reproducible.
 """
 
@@ -14,6 +16,16 @@ import numpy as np
 
 from percolab.core import ClusterResult, _open_reach
 from percolab.estimators import EstimateCI, wilson_interval
+from percolab.exact import (
+    FLOW_CAP,
+    FLOW_EPS,
+    FLOW_TOL,
+    DominationCertificate,
+    ExplicitMeasure,
+    _check_measure_cap,
+    _edge_bits,
+    _flips,
+)
 from percolab.exploration import ExplorationTrace
 from percolab.lattices import GraphBall, LatticeSpec, incident_edges, vertex_key
 from percolab.streams import keyed_uniform, stream
@@ -187,3 +199,111 @@ def tree_cluster_law(d: int, p: float, s_max: int) -> np.ndarray:
         law[n + 1] = sum(j / n * math.exp(log_binom(d, j) + log_binom(n * (d - 1), n - j))
                          for j in range(1, min(d, n) + 1))
     return law
+
+
+# The recursive Dinic max flow and Strassen certificate that percolab.exact
+# replaced; the certificates it returns are the ones percolab must return.
+
+class Dinic:
+    def __init__(self, n):
+        self.n = n
+        self.to = []
+        self.cap = []
+        self.head = [[] for _ in range(n)]
+
+    def add_edge(self, u, v, c):
+        """Add u -> v with capacity c; returns its id (the reverse is id ^ 1)."""
+        eid = len(self.to)
+        self.head[u].append(eid)
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(eid + 1)
+        self.to.append(u)
+        self.cap.append(0.0)
+        return eid
+
+    def max_flow(self, s, t):
+        """(max flow, BFS levels); vertices with a level >= 0 are those the
+        source reaches in the final residual graph, the source side of a
+        minimum cut."""
+        flow = 0.0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:  # appended to while it is walked, so a FIFO queue
+                for eid in self.head[u]:
+                    v = self.to[eid]
+                    if self.cap[eid] > FLOW_EPS and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return flow, level
+            it = [0] * self.n
+
+            def dfs(u, limit):
+                if u == t:
+                    return limit
+                while it[u] < len(self.head[u]):
+                    eid = self.head[u][it[u]]
+                    v = self.to[eid]
+                    if self.cap[eid] > FLOW_EPS and level[v] == level[u] + 1:
+                        pushed = dfs(v, min(limit, self.cap[eid]))
+                        if pushed > FLOW_EPS:
+                            self.cap[eid] -= pushed
+                            self.cap[eid ^ 1] += pushed
+                            return pushed
+                    it[u] += 1
+                return 0.0
+
+            while True:
+                pushed = dfs(s, float("inf"))
+                if pushed <= FLOW_EPS:
+                    break
+                flow += pushed
+
+
+def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCertificate:
+    """Certify mu <= nu in the stochastic order, or exhibit a violating event."""
+    if mu.n_edges != nu.n_edges:
+        raise ValueError("measures live on different edge sets")
+    E = mu.n_edges
+    _check_measure_cap(E, FLOW_CAP, "flow certification")
+    xs = [int(c) for c in np.nonzero(mu.weights > 0)[0]]
+    ys = [int(c) for c in np.nonzero(nu.weights > 0)[0]]
+    x_id = {c: 1 + i for i, c in enumerate(xs)}
+    y_id = {c: 1 + len(xs) + i for i, c in enumerate(ys)}
+    src, sink = 0, 1 + len(xs) + len(ys)
+    net = Dinic(sink + 1)
+    for c in xs:
+        net.add_edge(src, x_id[c], float(mu.weights[c]))
+    for c in ys:
+        net.add_edge(y_id[c], sink, float(nu.weights[c]))
+    configs = np.arange(1 << E)
+    nu_pos = nu.weights > 0
+    # per x: every y >= x with nu(y) > 0 and its edge id; adding the largest y
+    # first fixes which of the maximum flows, and so which coupling, is found
+    pairs = []
+    for x in xs:
+        above = configs[((configs & x) == x) & nu_pos][::-1]
+        pairs.append((x, above, [net.add_edge(x_id[x], y_id[y], 2.0)
+                                 for y in above.tolist()]))
+    flow, level = net.max_flow(src, sink)
+    if flow >= 1.0 - FLOW_TOL:
+        # pair edges had capacity 2; the shipped amount is 2 - residual
+        coupling = {(x, y): 2.0 - net.cap[eid] for x, above, eids in pairs
+                    for y, eid in zip(above.tolist(), eids) if 2.0 - net.cap[eid] > 1e-12}
+        return DominationCertificate(True, flow, E, coupling=coupling)
+    seeds = np.zeros(1 << E, dtype=bool)
+    seeds[[c for c in xs if level[x_id[c]] >= 0]] = True
+    event = _up_closure(seeds, E)
+    gap = float(mu.weights[event].sum() - nu.weights[event].sum())
+    return DominationCertificate(False, flow, E, event_mask=event, gap=gap)
+
+
+def _up_closure(indicator: np.ndarray, n_edges: int) -> np.ndarray:
+    """Smallest increasing event containing the marked configurations."""
+    event = indicator.copy()
+    for bit, flip in zip(_edge_bits(n_edges), _flips(n_edges)):
+        event |= bit & event[flip]
+    return event

@@ -167,6 +167,20 @@ def test_tree_walk_matches_step_by_step_exploration(z1_ball2, z2_ball1, tree3_ba
                 assert pair.step_probs == probs
 
 
+def test_coupler_draws_the_stream_uniforms(z1_ball2, z2_ball1, tree3_ball1):
+    point = build_ball(LatticeSpec.hypercubic(1), 0)
+    for ball in (z1_ball2, z2_ball1, tree3_ball1, point):
+        for seed in range(4096):
+            pair = couple_sequential(ball, CLUSTER_FIRST, 0.4, lambda trace: 0.5, seed)
+            assert np.array_equal(pair.uniforms,
+                                  stream(seed, EXP_COUPLE).random(ball.n_edges))
+    # each pair owns its uniforms: a later draw does not overwrite them
+    first = couple_sequential(tree3_ball1, CLUSTER_FIRST, 0.4, lambda trace: 0.5, 0)
+    kept = first.uniforms.copy()
+    couple_sequential(tree3_ball1, CLUSTER_FIRST, 0.4, lambda trace: 0.5, 1)
+    assert np.array_equal(first.uniforms, kept)
+
+
 def test_coupler_reuses_the_exploration_tree(z1_ball2, monkeypatch):
     oracle = make_conditional_oracle(z1_ball2, CLUSTER_FIRST, 0.5, 0.5)
     couple_sequential(z1_ball2, CLUSTER_FIRST, 0.4, oracle, 0)

@@ -29,6 +29,7 @@ from percolab.exact import (
 from percolab.exploration import CLUSTER_FIRST, ExplorationTrace
 from percolab.lattices import LatticeSpec, build_ball
 from reference import cluster_of_origin, pivotal_ghost_weight, run_exploration
+from reference import strassen_dominates as recursive_strassen_dominates
 
 
 def test_product_measure_single_edge(single_edge_ball):
@@ -386,6 +387,70 @@ def test_strassen_products_ordered_iff(p_lo, p_hi):
     nu = product_measure(ball, p_hi)
     cert = strassen_dominates(mu, nu)
     assert cert.dominates == (p_lo <= p_hi + 1e-9)
+
+
+def _same_certificate(got, want):
+    """Bit for bit: JSON, flow and gap, the coupling in its order, the event."""
+    assert certificate_to_json(got) == certificate_to_json(want)
+    assert got.flow.hex() == want.flow.hex()
+    if want.dominates:
+        assert list(got.coupling.items()) == list(want.coupling.items())
+    else:
+        assert got.gap.hex() == want.gap.hex()
+        assert np.array_equal(got.event_mask, want.event_mask)
+
+
+@pytest.mark.parametrize("lattice, radius", [
+    (LatticeSpec.hypercubic(1), 1), (LatticeSpec.hypercubic(1), 2),
+    (LatticeSpec.hypercubic(1), 3), (LatticeSpec.hypercubic(2), 1),
+    (LatticeSpec.regular_tree(3), 1),
+    pytest.param(LatticeSpec.regular_tree(3), 2, marks=pytest.mark.slow),
+], ids=["z1-1", "z1-2", "z1-3", "z2-1", "tree3-1", "tree3-2"])
+def test_strassen_matches_the_recursive_reference(lattice, radius):
+    # the conditional law at (p, h) against the product law at q = p(1 - eps),
+    # p, min(1, 1.3p) and 0: dominating and failing certificates both
+    ball = build_ball(lattice, radius)
+    verdicts = set()
+    for p in (0.2, 0.35, 0.5, 0.65, 0.8, 1.0):
+        for h in (0.1, 0.5, 1.0):
+            eps = max_conditional_pivotal(ball, CLUSTER_FIRST, p, h)
+            nu = conditional_measure(ball, p, h)
+            for q in (p * (1.0 - eps), p, min(1.0, 1.3 * p), 0.0):
+                mu = product_measure(ball, q)
+                want = recursive_strassen_dominates(mu, nu)
+                _same_certificate(strassen_dominates(mu, nu), want)
+                verdicts.add(want.dominates)
+    assert verdicts == {True, False}
+
+
+def test_strassen_matches_the_recursive_reference_on_a_deep_level_graph(tree3):
+    # tree3 r=2, the benchmark's largest ball: at q = p(1 - eps) the last
+    # augmenting paths have 35 arcs; q = 0.26 fails
+    ball = build_ball(tree3, 2)
+    nu = conditional_measure(ball, 0.2, 0.1)
+    eps = max_conditional_pivotal(ball, CLUSTER_FIRST, 0.2, 0.1)
+    for q in (0.2 * (1.0 - eps), 0.26):
+        mu = product_measure(ball, q)
+        _same_certificate(strassen_dominates(mu, nu), recursive_strassen_dominates(mu, nu))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda E: st.tuples(
+    st.just(E), *[st.lists(st.integers(0, 3), min_size=1 << E, max_size=1 << E)
+                  .filter(any) for _ in range(2)])))
+def test_strassen_matches_the_recursive_reference_on_tied_weights(case):
+    # small integer weights: zeros, equal capacities and point masses
+    E, *counts = case
+    mu, nu = (ExplicitMeasure(np.array(c, dtype=float) / sum(c), E) for c in counts)
+    _same_certificate(strassen_dominates(mu, nu), recursive_strassen_dominates(mu, nu))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p_lo, p_hi", [(0.4, 0.5), (0.5, 0.4)])
+def test_strassen_matches_the_recursive_reference_on_twelve_edges(p_lo, p_hi):
+    ball = build_ball(LatticeSpec.triangular(), 1)
+    mu, nu = product_measure(ball, p_lo), product_measure(ball, p_hi)
+    _same_certificate(strassen_dominates(mu, nu), recursive_strassen_dominates(mu, nu))
 
 
 def test_trace_enumeration_cap():
