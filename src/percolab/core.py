@@ -1,13 +1,13 @@
 """Percolation configurations and cluster growth.
 
 An edge configuration is indexed like ``ball.edges`` (1 = open, 0 = closed).
-``_open_reach`` is the one open-edge search on a finite graph, while
-``lazy_cluster`` grows the origin's cluster directly on the infinite
-lattice, revealing each incident edge exactly once with a fresh
-Bernoulli(p) value, so the law of min(|cluster|, cap) matches the true
-percolation law without building a large ball.  ``grow_sizes`` grows many
-replicates' capped sizes at once, layer by layer in numpy, from the same
-keyed uniforms.
+``_open_reach`` is the one open-edge search on a finite graph.  One layered
+kernel grows the origin's cluster directly on the infinite lattice,
+breadth-first in numpy, revealing each edge leaving the cluster once with
+a keyed Bernoulli(p) value, so the law of min(|cluster|, cap) matches the
+true percolation law without building a large ball: ``grow_sizes`` runs it
+on many replicates' sizes at once, ``lazy_cluster`` on one replicate's
+members.
 """
 
 from dataclasses import dataclass
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .lattices import REGULAR_TREE, LatticeSpec, incident_edges, key_to_coords, vertex_key
-from .streams import derive_key, derive_keys, keyed_uniform, keyed_uniforms
+from .lattices import REGULAR_TREE, LatticeSpec, key_to_coords
+from .streams import derive_key, derive_keys, keyed_uniforms
 
 # Stream label of lazy growth: (seed, label, ...) paths keep experiments
 # independent.
@@ -58,9 +58,12 @@ def _open_reach(incidence, roots, config) -> set:
 # ---------------------------------------------------------------------------
 # Lazy growth on the infinite lattice.
 #
-# One scalar loop works on integer vertex keys (see lattices) and draws one
-# keyed uniform per edge leaving the cluster: lazy_cluster reads its
-# members, and the tests pin the batched kernel below against it.
+# (size, truncated) depends only on which edges are open, not on the order
+# in which they are revealed, so one kernel grows a chunk of replicates
+# breadth-first together: one round per BFS layer, each round one set of
+# array operations.  Keys wrap in 64 bits exactly as keyed_uniform reduces
+# them.  Given a members list, the kernel also records one replicate's
+# vertices, layer by layer; without one it does no per-round work for it.
 # ---------------------------------------------------------------------------
 
 def check_cap(spec: LatticeSpec, cap: int):
@@ -82,74 +85,19 @@ def check_cap(spec: LatticeSpec, cap: int):
         raise CapExceeded(f"cap {cap} on this lattice exceeds the key encoding range")
 
 
-def _grow(spec, p, cap, rkey):
-    """Member keys of the origin's cluster, grown depth-first until it is
-    maximal or has ``cap`` vertices, and whether it reached ``cap``.
-
-    An edge into the cluster is never drawn: its uniform is a pure function
-    of the edge, so skipping it changes nothing but the work.
-    """
-    incident = incident_edges(spec)
-    origin = vertex_key(spec, spec.origin)
-    members = {origin}
-    if cap <= 1:
-        return members, True
-    queue = [origin]
-    while queue:
-        for ek, w in incident(queue.pop()):
-            if w not in members and keyed_uniform(rkey, ek) < p:
-                members.add(w)
-                if len(members) >= cap:
-                    return members, True
-                queue.append(w)
-    return members, False
-
-
-def grow_cluster_size(spec: LatticeSpec, p: float, cap: int, rkey: int):
-    """Grow the origin's cluster; return (size, truncated).
-
-    Stops at a maximal cluster or at ``cap`` vertices; ``truncated`` means it hit ``cap``.
-    """
-    members, truncated = _grow(spec, p, cap, rkey)
-    return len(members), truncated
-
-
-def lazy_cluster(spec: LatticeSpec, p: float, cap: int, rng_seed: int) -> ClusterResult:
-    """Origin cluster on the infinite lattice with full membership detail.
-
-    Members are reported as coordinate tuples.  Equivalent in law to sampling
-    a huge ball and reading off the origin's cluster; the per-edge uniforms
-    are keyed by (seed, edge), so runs at p <= p' with the same seed grow
-    nested clusters.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    check_cap(spec, cap)
-    keys, truncated = _grow(spec, p, cap, derive_key(rng_seed, EXP_GROW))
-    members = frozenset(key_to_coords(spec, k) for k in keys)
-    return ClusterResult(members, len(members), truncated=truncated)
-
-
-# ---------------------------------------------------------------------------
-# Batched growth.
-#
-# (size, truncated) depends only on which edges are open, not on the order
-# in which they are revealed, so a chunk of replicates can grow breadth-first
-# together: one round per BFS layer, each round one set of array operations.
-# Keys wrap in 64 bits exactly as keyed_uniform reduces them, so the sizes
-# equal grow_cluster_size's.
-# ---------------------------------------------------------------------------
-
 def _chunk(cap):
     return max(1, _BATCH_MEMBERS // cap)
 
 
+def _kernel(spec):
+    return _tree_layers if spec.family == REGULAR_TREE else _lattice_layers
+
+
 def grow_sizes(spec: LatticeSpec, p: float, cap: int, key: int, lo: int, hi: int):
-    """``grow_cluster_size`` of replicates ``lo`` to ``hi - 1`` as (sizes,
-    truncated) arrays, where replicate i is keyed ``derive_key(seed, *path,
-    i)`` and ``key = derive_key(seed, *path)``; ``check_cap(spec, cap)``
-    must pass."""
-    grow = _tree_layers if spec.family == REGULAR_TREE else _lattice_layers
+    """(size, truncated) of replicates ``lo`` to ``hi - 1`` as two arrays,
+    where replicate i is keyed ``derive_key(seed, *path, i)`` and ``key =
+    derive_key(seed, *path)``; ``check_cap(spec, cap)`` must pass."""
+    grow = _kernel(spec)
     sizes = np.empty(hi - lo, dtype=np.int64)
     step = _chunk(cap)
     for a in range(lo, hi, step):
@@ -159,13 +107,48 @@ def grow_sizes(spec: LatticeSpec, p: float, cap: int, key: int, lo: int, hi: int
     return np.minimum(sizes, cap), sizes >= cap
 
 
-def _lattice_layers(spec, p, cap, rkeys):
+def grow_cluster_size(spec: LatticeSpec, p: float, cap: int, rkey: int):
+    """Grow the origin's cluster of the replicate keyed ``rkey``; return
+    (size, truncated).
+
+    Stops at a maximal cluster or at ``cap`` vertices; ``truncated`` means it
+    hit ``cap``.  ``check_cap(spec, cap)`` must pass.
+    """
+    return _grow_one(spec, p, cap, rkey, None)
+
+
+def lazy_cluster(spec: LatticeSpec, p: float, cap: int, rng_seed: int) -> ClusterResult:
+    """Origin cluster on the infinite lattice with full membership detail.
+
+    Members are reported as coordinate tuples.  Equivalent in law to sampling
+    a huge ball and reading off the origin's cluster; the per-edge uniforms
+    are keyed by (seed, edge), so runs at p <= p' with the same seed grow
+    nested clusters.  A truncated cluster keeps every complete BFS layer,
+    then the first vertices of the last one up to ``cap`` in all: smallest
+    vertex key first on a lattice, by parent and then child digit on a tree.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    check_cap(spec, cap)
+    members = [spec.origin]
+    size, truncated = _grow_one(spec, p, cap, derive_key(rng_seed, EXP_GROW), members)
+    return ClusterResult(frozenset(members), size, truncated)
+
+
+def _grow_one(spec, p, cap, rkey, members):
+    size = int(_kernel(spec)(spec, p, cap, np.array([rkey], dtype=np.uint64), members)[0])
+    return min(size, cap), size >= cap
+
+
+def _lattice_layers(spec, p, cap, rkeys, members=None):
     """Cluster sizes of the replicates keyed ``rkeys``, counted until each
     is maximal or has reached ``cap``.
 
     A layer is a sorted array of packed keys replicate * stride + span +
     vertex key.  Through an open edge a layer-L vertex reaches layers L - 1,
     L or L + 1 only, so a neighbour in neither of the first two is new.
+    For one replicate, ``members`` (a list holding the origin) gains each
+    layer's coordinates, smallest key first, up to ``cap`` entries.
     """
     offsets = spec._layout[1]
     ndir = len(offsets)
@@ -192,13 +175,18 @@ def _lattice_layers(spec, p, cap, rkeys):
         reached = reached[first]
         rep = reached // stride
         sizes += np.bincount(rep, minlength=n)
+        if members is not None:
+            members += [key_to_coords(spec, k - span)
+                        for k in reached[:cap - len(members)].tolist()]
         prev, layer = layer, reached[sizes[rep] < cap]
     return sizes
 
 
-def _tree_layers(spec, p, cap, rkeys):
+def _tree_layers(spec, p, cap, rkeys, members=None):
     """``_lattice_layers`` on a regular tree, where each vertex but the root
-    is reached once, through its parent: no neighbour needs a check."""
+    is reached once, through its parent: no neighbour needs a check.  A
+    member's coordinates extend its parent's by the child digit, as keys
+    wrap past 2^64; within a layer, members go by parent, then digit."""
     r = spec.tree_degree
     base = np.uint64(r + 1)
     # the root's children are keyed base + 1 .. base + r; any other vertex
@@ -208,9 +196,13 @@ def _tree_layers(spec, p, cap, rkeys):
     sizes = np.ones(n, dtype=np.int64)
     rep = np.arange(n if cap > 1 else 0)
     v = np.ones(len(rep), dtype=np.uint64)
+    coords = [()]  # the root's, then each layer's while members are recorded
     while rep.size:
         child = v[:, None] * base + kids
         is_open = keyed_uniforms(rkeys[rep][:, None], child) < p
+        if members is not None:
+            coords = [coords[i] + (d,) for i, d in np.argwhere(is_open).tolist()]
+            members += coords[:cap - len(members)]
         rep = np.broadcast_to(rep[:, None], child.shape)[is_open]
         v = child[is_open]
         kids = kids[:r - 1]

@@ -69,7 +69,6 @@ def couple_sequential(ball: GraphBall, rule, q: float, oracle,
     uniforms = stream_random(rng_seed, EXP_COUPLE, size=E)
     lower = np.zeros(E, dtype=np.uint8)
     upper = np.zeros(E, dtype=np.uint8)
-    trace = ExplorationTrace()
     step_probs = []
     violations = []
     node = 0
@@ -89,8 +88,7 @@ def couple_sequential(ball: GraphBall, rule, q: float, oracle,
         if lo and not up:
             violations.append(StepViolation(k, e, pr, q, u))
         node += 1 << (E - k - 1) if up else 1
-    if E:
-        trace = trace.extend(e, up)
+    trace = trace.extend(e, up) if E else ExplorationTrace()
     return CoupledPair(lower, upper, uniforms, trace, tuple(step_probs),
                        tuple(violations))
 

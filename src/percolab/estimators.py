@@ -297,6 +297,8 @@ def meanfield_verdict(spec: LatticeSpec, p_list, h: float, samples: int,
     """
     if spec.family != HYPERCUBIC or spec.dimension != 2:
         raise ValueError("reference threshold is wired in for hypercubic d=2 only")
+    for p in p_list:
+        _check_sampling(p, samples)
     rows = []
     for p in p_list:
         mag = estimate_magnetization(spec, p, h, samples, rng_seed, threads)

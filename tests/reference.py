@@ -2,9 +2,10 @@
 
 None of these is used by percolab's commands, demos or benchmark.  Each is
 the direct, configuration-by-configuration definition of a quantity that
-percolab computes some faster way, except two.  ``tree_cluster_law`` is the
-exact cluster-size law of the infinite regular tree, in closed form, against
-which the Monte Carlo estimators are checked.  ``strassen_dominates`` is the
+percolab computes some faster way (``grow_depth_first`` is the scalar loop
+that the layered growth kernel replaced), except two.  ``tree_cluster_law``
+is the exact cluster-size law of the infinite regular tree, in closed form,
+against which the Monte Carlo estimators are checked.  ``strassen_dominates`` is the
 recursive Dinic max flow that percolab.exact replaced by a levelled one;
 percolab must return its certificates bit for bit.  The stream labels are fixed,
 so every test input they draw is reproducible.
@@ -27,7 +28,7 @@ from percolab.exact import (
     _flips,
 )
 from percolab.exploration import ExplorationTrace
-from percolab.lattices import GraphBall, LatticeSpec, incident_edges, vertex_key
+from percolab.lattices import REGULAR_TREE, GraphBall, LatticeSpec, incident_edges, vertex_key
 from percolab.streams import keyed_uniform, stream
 
 # Stream labels: (seed, label, ...) paths keep experiments independent.
@@ -199,6 +200,49 @@ def tree_cluster_law(d: int, p: float, s_max: int) -> np.ndarray:
         law[n + 1] = sum(j / n * math.exp(log_binom(d, j) + log_binom(n * (d - 1), n - j))
                          for j in range(1, min(d, n) + 1))
     return law
+
+
+def grow_depth_first(spec: LatticeSpec, p: float, cap: int, rkey: int):
+    """Member keys of the origin's cluster, grown depth-first one keyed
+    uniform at a time until it is maximal or has ``cap`` vertices, and
+    whether it reached ``cap``.
+
+    An edge into the cluster is never drawn: its uniform is a pure function
+    of the edge, so skipping it changes nothing but the work.
+    """
+    incident = incident_edges(spec)
+    origin = vertex_key(spec, spec.origin)
+    members = {origin}
+    if cap <= 1:
+        return members, True
+    queue = [origin]
+    while queue:
+        for ek, w in incident(queue.pop()):
+            if w not in members and keyed_uniform(rkey, ek) < p:
+                members.add(w)
+                if len(members) >= cap:
+                    return members, True
+                queue.append(w)
+    return members, False
+
+
+def bfs_layers(spec: LatticeSpec, p: float, rkey: int, count: int) -> list:
+    """The origin's cluster breadth-first, as lists of vertex keys with the
+    origin alone in the first, until they hold ``count`` vertices or the
+    cluster is maximal.  A lattice layer is sorted by key; a tree layer goes
+    by parent, then child digit, the order ``incident_edges`` reveals it."""
+    incident = incident_edges(spec)
+    layers = [[vertex_key(spec, spec.origin)]]
+    seen = set(layers[0])
+    while layers[-1] and len(seen) < count:
+        layer = []
+        for v in layers[-1]:
+            for ek, w in incident(v):
+                if w not in seen and keyed_uniform(rkey, ek) < p:
+                    seen.add(w)
+                    layer.append(w)
+        layers.append(layer if spec.family == REGULAR_TREE else sorted(layer))
+    return layers
 
 
 # The recursive Dinic max flow and Strassen certificate that percolab.exact

@@ -697,11 +697,16 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
-def _readme_commands():
+def _readme_block(section, language):
+    """The first ``language`` code block under the README's ``section``."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md")) as fh:
         text = fh.read()
-    block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return text.split(section, 1)[1].split("```" + language, 1)[1].split("```", 1)[0]
+
+
+def _readme_commands():
+    block = _readme_block("## Command line", "bash")
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True) for line in lines
             if line.startswith("percolab ")]
@@ -716,3 +721,10 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_readme_library_tour_runs(capsys):
+    # the tour's Python block runs as written, asserts included
+    block = _readme_block("## Library tour", "python")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

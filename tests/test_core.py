@@ -7,7 +7,6 @@ import percolab.core
 from percolab.core import (
     EXP_GROW,
     MAX_CLUSTER_CAP,
-    _grow,
     _open_reach,
     check_cap,
     grow_cluster_size,
@@ -17,9 +16,16 @@ from percolab.core import (
 )
 from percolab.errors import CapExceeded
 from percolab.exact import exact_magnetization
-from percolab.lattices import LatticeSpec, build_ball
-from percolab.streams import derive_key, derive_keys, stream
-from reference import cluster_of_origin, edge_coords, sample_config, sample_config_keyed
+from percolab.lattices import LatticeSpec, build_ball, incident_edges, key_to_coords, vertex_key
+from percolab.streams import derive_key, derive_keys, keyed_uniform, stream
+from reference import (
+    bfs_layers,
+    cluster_of_origin,
+    edge_coords,
+    grow_depth_first,
+    sample_config,
+    sample_config_keyed,
+)
 
 
 def test_cluster_extremes(z1_ball2):
@@ -100,11 +106,8 @@ def test_lazy_cluster_trivial(z2):
 def test_lazy_cluster_z1_law(z1):
     # on the line, P(|cluster| >= 2) = 1 - (1-p)^2 = 3/4 at p = 1/2
     n = 100_000
-    hits = sum(
-        grow_cluster_size(z1, 0.5, 2, derive_key(2718, 5, rep))[0] >= 2
-        for rep in range(n)
-    )
-    freq = hits / n
+    sizes, _ = grow_sizes(z1, 0.5, 2, derive_key(2718, 5), 0, n)
+    freq = float((sizes >= 2).mean())
     assert abs(freq - 0.75) < 0.006  # ~4.4 standard errors
 
 
@@ -134,8 +137,10 @@ def test_lazy_cluster_matches_ball_cluster(z2):
 def test_grow_matches_lazy_cluster(z2):
     for seed in (0, 1, 2, 3):
         res = lazy_cluster(z2, 0.4, cap=50, rng_seed=seed)
-        size, trunc = grow_cluster_size(z2, 0.4, 50, derive_key(seed, EXP_GROW))
-        assert (size, trunc) == (res.size, res.truncated)
+        rkey = derive_key(seed, EXP_GROW)
+        keys, trunc = grow_depth_first(z2, 0.4, 50, rkey)
+        assert (len(keys), trunc) == (res.size, res.truncated)
+        assert grow_cluster_size(z2, 0.4, 50, rkey) == (res.size, res.truncated)
 
 
 def test_grow_cluster_size_tree(tree3):
@@ -144,8 +149,9 @@ def test_grow_cluster_size_tree(tree3):
 
 
 def _scalar_sizes(spec, p, cap, seed, lo, hi):
-    return [grow_cluster_size(spec, p, cap, replicate_key(seed, EXP_GROW, rep))
-            for rep in range(lo, hi)]
+    grown = (grow_depth_first(spec, p, cap, replicate_key(seed, EXP_GROW, rep))
+             for rep in range(lo, hi))
+    return [(len(keys), trunc) for keys, trunc in grown]
 
 
 def _batched_sizes(spec, p, cap, seed, lo, hi):
@@ -161,6 +167,7 @@ _GROWTH_CASES = {
     "tri": (LatticeSpec.triangular(), 0.3, 0.5),
     "z3": (LatticeSpec.hypercubic(3), 0.2, 0.35),
     "tree3": (LatticeSpec.regular_tree(3), 0.45, 0.6),
+    "tree2": (LatticeSpec.regular_tree(2), 0.5, 0.99),
 }
 
 
@@ -182,7 +189,7 @@ def test_batched_growth_matches_scalar_past_64_bit_tree_keys():
     # regular_tree(2) keys a vertex at depth k by about 3^k, past 2^64 from
     # depth 41; both kernels reduce edge keys mod 2^64 the same way
     spec = LatticeSpec.regular_tree(2)
-    deepest = max(max(_grow(spec, 0.99, 100, replicate_key(0, EXP_GROW, rep))[0])
+    deepest = max(max(grow_depth_first(spec, 0.99, 100, replicate_key(0, EXP_GROW, rep))[0])
                   for rep in range(40))
     assert deepest >= 2 ** 64
     got = _batched_sizes(spec, 0.99, 100, 0, 0, 40)
@@ -216,8 +223,67 @@ def test_lazy_cluster_past_the_key_range_grows_nothing(monkeypatch):
     # on hypercubic(4) the edge keys alias mod 2^64, so no cluster is grown
     def no_growth(*args):
         raise AssertionError("grew a cluster")
-    monkeypatch.setattr(percolab.core, "_grow", no_growth)
+    monkeypatch.setattr(percolab.core, "_lattice_layers", no_growth)
+    monkeypatch.setattr(percolab.core, "_tree_layers", no_growth)
     with pytest.raises(CapExceeded, match="key encoding range"):
         lazy_cluster(LatticeSpec.hypercubic(4), 0.1, cap=5, rng_seed=1)
     with pytest.raises(CapExceeded, match="key encoding range"):
         lazy_cluster(LatticeSpec.hypercubic(3), 0.1, cap=262_145, rng_seed=1)
+
+
+def _open_component(spec, p, rkey, members):
+    """The members that open edges between members join to the origin."""
+    keys = {vertex_key(spec, v) for v in members}
+    origin = vertex_key(spec, spec.origin)
+    seen, queue = {origin}, [origin]
+    while queue:
+        for ek, w in incident_edges(spec)(queue.pop()):
+            if w in keys and w not in seen and keyed_uniform(rkey, ek) < p:
+                seen.add(w)
+                queue.append(w)
+    return {key_to_coords(spec, k) for k in seen}
+
+
+@pytest.mark.parametrize("cap", [1, 2, 120, 691])
+@pytest.mark.parametrize("lattice", sorted(_GROWTH_CASES))
+def test_lazy_cluster_matches_depth_first_growth(lattice, cap):
+    # BFS and DFS reach the same maximal cluster; a truncated one keeps the
+    # complete BFS layers, then the first of the last layer in kernel order
+    spec, sub, sup = _GROWTH_CASES[lattice]
+    for p in (0.0, sub, sup, 1.0):
+        for seed in range(6):
+            rkey = derive_key(seed, EXP_GROW)
+            res = lazy_cluster(spec, p, cap, seed)
+            keys, trunc = grow_depth_first(spec, p, cap, rkey)
+            assert (res.size, res.truncated) == (len(keys), trunc), (lattice, p, seed)
+            assert grow_cluster_size(spec, p, cap, rkey) == (res.size, res.truncated)
+            assert lazy_cluster(spec, p, cap, seed) == res
+            assert len(res.members) == res.size and spec.origin in res.members
+            if not trunc:
+                assert res.members == {key_to_coords(spec, k) for k in keys}
+                continue
+            assert _open_component(spec, p, rkey, res.members) == res.members
+            *inner, last = bfs_layers(spec, p, rkey, cap)
+            inner = [k for layer in inner for k in layer]
+            expected = inner + last[:cap - len(inner)]
+            assert res.members == {key_to_coords(spec, k) for k in expected}
+
+
+def test_lazy_cluster_tree_coordinates_past_64_bit_keys():
+    # regular_tree(2) keys a vertex at depth k by about 3^k, past 2^64 from
+    # depth 41, where the kernel's uint64 keys wrap: coordinates must still
+    # name the vertices the exact keys of the reference name
+    spec = LatticeSpec.regular_tree(2)
+    deepest, untruncated = 0, 0
+    for seed in range(40):
+        res = lazy_cluster(spec, 0.99, 100, seed)
+        rkey = derive_key(seed, EXP_GROW)
+        deepest = max(deepest, max(vertex_key(spec, v) for v in res.members))
+        keys, trunc = grow_depth_first(spec, 0.99, 100, rkey)
+        if trunc:
+            assert len(res.members) == 100 and spec.origin in res.members
+            assert _open_component(spec, 0.99, rkey, res.members) == res.members
+        else:
+            assert res.members == {key_to_coords(spec, k) for k in keys}
+            untruncated += 1
+    assert deepest >= 2 ** 64 and untruncated > 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import percolab.estimators
-from percolab.core import MAX_CLUSTER_CAP, grow_cluster_size, replicate_key
+from percolab.core import MAX_CLUSTER_CAP, replicate_key
 from percolab.errors import CapExceeded
 from percolab.estimators import (
     DEFAULT_CONFIDENCE,
@@ -24,7 +24,7 @@ from percolab.estimators import (
 )
 from percolab.exact import psi_table
 from percolab.lattices import LatticeSpec, build_ball
-from reference import estimate_psi_on_ball, tree_cluster_law
+from reference import estimate_psi_on_ball, grow_depth_first, tree_cluster_law
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,8 +183,9 @@ def test_collected_blocks_match_scalar_growth(z2, pool_sizes, samples):
     # kernel's 273-replicate chunks at cap 120, and keeps each replicate's
     # key; one replicate is one block, grown here with no pool
     sizes, trunc = _collect_sizes(z2, 0.45, 120, samples, 3, EXP_PSI, threads=2)
-    scalar = [grow_cluster_size(z2, 0.45, 120, replicate_key(3, EXP_PSI, rep))
-              for rep in range(samples)]
+    grown = (grow_depth_first(z2, 0.45, 120, replicate_key(3, EXP_PSI, rep))
+             for rep in range(samples))
+    scalar = [(len(keys), t) for keys, t in grown]
     assert [(int(s), bool(t)) for s, t in zip(sizes, trunc)] == scalar
     assert pool_sizes == ([2] if samples > 1 else [])
 
@@ -231,6 +232,14 @@ def test_pool_starts_at_most_one_worker_per_cpu(z2, monkeypatch, pool_sizes, cpu
 def test_meanfield_requires_z2(z1):
     with pytest.raises(ValueError):
         meanfield_verdict(z1, [0.5], 0.05, 50, rng_seed=1)
+
+
+def test_meanfield_checks_every_p_before_any_growth(z2, monkeypatch):
+    def no_growth(*args):
+        raise AssertionError("grew a cluster")
+    monkeypatch.setattr(percolab.estimators, "grow_sizes", no_growth)
+    with pytest.raises(ValueError, match="p must lie"):
+        meanfield_verdict(z2, [0.6, 1.5], 0.05, 50, rng_seed=1)
 
 
 def test_meanfield_trivial_endpoints(z2):
