@@ -29,7 +29,7 @@ from .core import _open_reach, check_cap, grow_sizes
 # the tracer changes with the benchmark.
 from .core import grow_cluster_size, replicate_key  # noqa: F401
 from .lattices import HYPERCUBIC, LatticeSpec
-from .streams import derive_key, stream
+from .streams import derive_key, stream_random
 
 EXP_PSI = 11
 EXP_MAG = 12
@@ -335,7 +335,7 @@ def crossing_probability(p: float, nx: int, ny: int, samples: int,
         incidence[b].append((e, a))
     successes = 0
     for rep in range(samples):
-        config = (stream(rng_seed, EXP_CROSS, rep).random(len(edges)) < p).tolist()
+        config = (stream_random(rng_seed, EXP_CROSS, rep, size=len(edges)) < p).tolist()
         if not _open_reach(incidence, range(ny), config).isdisjoint(range(n_h, nx * ny)):
             successes += 1
     lo, hi = wilson_interval(successes, samples)

@@ -376,91 +376,81 @@ class _StrassenFlow:
         residual graph: the source side of a minimum cut)."""
         flow = 0.0
         while True:
-            levx, levy, sink_level = self._levels()
+            sink_level, graph = self._level_graph()
             if not sink_level:
-                return flow, levx >= 0
-            flow = self._blocking_flow(levx, levy, sink_level, flow)
+                return flow, graph
+            flow = self._blocking_flow(sink_level, *graph, flow)
+            del graph  # one phase's lists must not outlive it into the next BFS
 
-    def _levels(self):
-        """Residual BFS levels of the x's and y's (-1: not reached) and the
-        sink's level, 0 when the sink is not reached.  The BFS stops at the
-        sink's level: no vertex beyond it lies on a shortest path."""
+    def _level_graph(self):
+        """(0, the x's the source reaches) when no residual path reaches the
+        sink.  Otherwise a residual BFS runs up to the sink's level, and a
+        backward pass from the sink cuts the level graph down to the
+        vertices that reach it: (sink level, (sources, ylive, down)), where
+        ylive holds each y's level or -1, and sources (the source's x's) and
+        down[y] (y's x's one level up through residual reverse arcs, for the
+        y's below the sink) descend, so the walk takes them from the end."""
         E, pairs, below, tcap = self.n_edges, self.pairs, self.below, self.tcap
         levx = np.full(1 << E, -1, dtype=np.int32)
         levy = np.full(1 << E, -1, dtype=np.int32)
         front = np.array(self.scap) > FLOW_EPS
         level = 1
-        while front.any():
+        while True:
             levx[front] = level
             reached = _closure(front, E) & self.ypos & (levy < 0)
             ys = np.flatnonzero(reached).tolist()
             if not ys:
-                break
+                return 0, levx >= 0
             levy[reached] = level + 1
             if any(tcap[y] > FLOW_EPS for y in ys):
-                return levx, levy, level + 2
+                break
             front = np.zeros(1 << E, dtype=bool)
             for y in ys:
                 for x in below[y]:
                     if pairs[x << E | y][1] > FLOW_EPS and levx[x] < 0:
                         front[x] = True
             level += 2
-        return levx, levy, 0
-
-    def _useful(self, levx, levy, sink_level):
-        """The level graph cut down to the vertices that reach the sink in it,
-        by a backward pass from the sink: (the source's x's, ascending;
-        ylive, each y's level or -1; down, each y's x's one level up through
-        residual reverse arcs, ascending, for the y's below the sink's
-        level)."""
-        E, pairs = self.n_edges, self.pairs
-        ylive = [-1] * (1 << E)
-        live = (levy == sink_level - 1) & (np.array(self.tcap) > FLOW_EPS)
-        for y in np.flatnonzero(live).tolist():
-            ylive[y] = sink_level - 1
+        sink_level = level + 2
+        live = (levy == level + 1) & (np.array(tcap) > FLOW_EPS)
+        ylive = np.where(live, level + 1, -1).tolist()
         down = {}
-        for level in range(sink_level - 2, 1, -2):
-            xlive = ((levx == level) & _closure(live, E, up=False)).tolist()
+        for level in range(level, 1, -2):
+            xlive = ((levx == level) & _closure(live[::-1], E)[::-1]).tolist()
             live = np.zeros(1 << E, dtype=bool)
             for y in np.flatnonzero(levy == level - 1).tolist():
-                xs = [x for x in self.below[y]
+                xs = [x for x in reversed(below[y])
                       if xlive[x] and pairs[x << E | y][1] > FLOW_EPS]
                 if xs:
                     down[y], ylive[y], live[y] = xs, level - 1, True
-        sources = np.flatnonzero((levx == 1) & _closure(live, E, up=False)).tolist()
-        return sources, ylive, down
+        sources = np.flatnonzero((levx == 1) & _closure(live[::-1], E)[::-1])
+        return sink_level, (sources[::-1].tolist(), ylive, down)
 
-    def _blocking_flow(self, levx, levy, sink_level, flow):
+    def _blocking_flow(self, sink_level, sources, ylive, down, flow):
         """Augment along shortest paths until none is left; returns the flow.
 
         Only arcs that are admissible (residual, one level up) and lead to a
         vertex that reaches the sink in the level graph are tried: within a
         phase arcs only close, so no other arc could carry flow.  A vertex
         that runs out of arcs is dead for the rest of the phase (ylive -1,
-        or xnext -1).  After an augmentation the path is cut back to the
-        tail of its first saturated arc, where a walk from the source would
-        arrive again.
+        or xnext -1), and the lists drop an x once it is dead or its arc is
+        full.  After an augmentation the path is cut back to the tail of its
+        first saturated arc, where a walk from the source would arrive again.
         """
         E, pairs, scap, tcap = self.n_edges, self.pairs, self.scap, self.tcap
         full = (1 << E) - 1
-        sources, ylive, down = self._useful(levx, levy, sink_level)
         # xnext[x]: the s with y = x | s that x tries next, -1 once x is dead;
         # s runs down the subsets of ~x, so y runs down the supersets of x
         xnext = [full ^ x for x in range(1 << E)]
-        ynext = dict.fromkeys(down, 0)
         path = []  # x, y, x, y, ...: path[k] sits at level k + 1
-        k_src = 0
         while True:
             depth = len(path)
             if not depth:
-                while k_src < len(sources):
-                    x = sources[k_src]
-                    if scap[x] > FLOW_EPS and xnext[x] >= 0:
-                        break
-                    k_src += 1
-                else:
+                while sources and not (scap[sources[-1]] > FLOW_EPS
+                                       and xnext[sources[-1]] >= 0):
+                    sources.pop()
+                if not sources:
                     return flow
-                path.append(x)
+                path.append(sources[-1])
             elif depth & 1:  # an x: its next useful pair arc
                 x = path[-1]
                 s, rest, up = xnext[x], full ^ x, depth + 1
@@ -473,16 +463,15 @@ class _StrassenFlow:
                     path.append(x | s)
             elif depth < sink_level - 1:  # a y: its next useful reverse arc
                 y = path[-1]
-                xs, k = down[y], ynext[y]
-                while k < len(xs) and not (pairs[xs[k] << E | y][1] > FLOW_EPS
-                                           and xnext[xs[k]] >= 0):
-                    k += 1
-                ynext[y] = k
-                if k == len(xs):
+                xs = down[y]
+                while xs and not (pairs[xs[-1] << E | y][1] > FLOW_EPS
+                                  and xnext[xs[-1]] >= 0):
+                    xs.pop()
+                if xs:
+                    path.append(xs[-1])
+                else:
                     ylive[y] = -1
                     path.pop()
-                else:
-                    path.append(xs[k])
             elif not tcap[path[-1]] > FLOW_EPS:  # a y whose sink arc is full
                 ylive[path.pop()] = -1
             else:
@@ -491,15 +480,12 @@ class _StrassenFlow:
     def _augment(self, path, flow):
         """Push the path's bottleneck from the source to the sink, then cut
         the path back to the tail of its first arc left with capacity
-        <= FLOW_EPS; returns the new flow."""
+        <= FLOW_EPS; returns the new flow.  The bottleneck reads no forward
+        pair arc, since those never saturate."""
         E, pairs, scap, tcap = self.n_edges, self.pairs, self.scap, self.tcap
         pushed = min(scap[path[0]], tcap[path[-1]])
-        for k in range(1, len(path)):
-            if k & 1:
-                caps = pairs.get(path[k - 1] << E | path[k])
-                pushed = min(pushed, 2.0 if caps is None else caps[0])
-            else:
-                pushed = min(pushed, pairs[path[k] << E | path[k - 1]][1])
+        for k in range(2, len(path), 2):
+            pushed = min(pushed, pairs[path[k] << E | path[k - 1]][1])
         scap[path[0]] -= pushed
         tcap[path[-1]] -= pushed
         cut = len(path) if scap[path[0]] > FLOW_EPS else 0
@@ -547,16 +533,14 @@ def strassen_dominates(mu: ExplicitMeasure, nu: ExplicitMeasure) -> DominationCe
     return DominationCertificate(False, flow, E, event_mask=event, gap=gap)
 
 
-def _closure(indicator: np.ndarray, n_edges: int, up: bool = True) -> np.ndarray:
-    """Smallest increasing (``up``) or decreasing event containing the marked
-    configurations."""
+def _closure(indicator: np.ndarray, n_edges: int) -> np.ndarray:
+    """Smallest increasing event containing the marked configurations.
+    Reversing a 2^E array complements every configuration, so
+    ``_closure(m[::-1], E)[::-1]`` is the smallest decreasing one."""
     event = indicator.copy()
     for e in range(n_edges):
         halves = event.reshape(-1, 2, 1 << e)  # [:, 1] has edge e open
-        if up:
-            halves[:, 1] |= halves[:, 0]
-        else:
-            halves[:, 0] |= halves[:, 1]
+        halves[:, 1] |= halves[:, 0]
     return event
 
 

@@ -78,7 +78,8 @@ class LatticeSpec:
 
         Coordinate i is signed base-_KEY_M digit ``places[i]`` of the vertex
         key; ``offsets`` are the key steps of the positive directions, in
-        reveal order.  Cached on the spec, as growth reads it per replicate.
+        reveal order.  Cached on the spec, as ``vertex_key`` and
+        ``key_to_coords`` read it per vertex.
         """
         if self.family == HYPERCUBIC:
             places = tuple(range(self.dimension))
@@ -205,14 +206,12 @@ def ball_to_json(ball: GraphBall) -> dict:
 # edge keys are (canonical endpoint key) * (#positive directions) + direction.
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
 def incident_edges(spec: LatticeSpec):
     """Function mapping a vertex key to its [(edge key, neighbor key), ...].
 
     The list order is the reveal order of lazy growth: on hypercubic and
     triangular lattices, for each positive direction the forward edge and
     then the backward one; on trees the parent edge, then the children.
-    Cached, because growth asks for it once per replicate.
     """
     if spec.family == REGULAR_TREE:
         r = spec.tree_degree

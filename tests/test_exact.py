@@ -10,6 +10,8 @@ from percolab.errors import CapExceeded
 from percolab.exact import (
     ExplicitMeasure,
     _ball_tables,
+    _closure,
+    _StrassenFlow,
     _vertex_cluster_sizes,
     certificate_to_json,
     cluster_members_table,
@@ -451,6 +453,48 @@ def test_strassen_matches_the_recursive_reference_on_twelve_edges(p_lo, p_hi):
     ball = build_ball(LatticeSpec.triangular(), 1)
     mu, nu = product_measure(ball, p_lo), product_measure(ball, p_hi)
     _same_certificate(strassen_dominates(mu, nu), recursive_strassen_dominates(mu, nu))
+
+
+def test_closure_and_its_reversed_form_match_brute_force():
+    # every mask for E <= 4 and random masks up to E = 8, against the
+    # definitions: c is in the up-closure when some marked c' is a subset of
+    # c, in the down-closure when some marked c' is a superset of c; the
+    # reversed form is the down-closure the flow's backward pass takes
+    rng = np.random.default_rng(4)
+    for E in range(9):
+        configs = np.arange(1 << E)
+        subset = (configs[:, None] & ~configs) == 0  # [c', c]: c' is a subset of c
+        if E <= 4:
+            masks = (np.arange(1 << (1 << E))[:, None] >> configs & 1).astype(bool)
+        else:
+            density = rng.choice([0.005, 0.02, 0.1, 0.5], size=(40, 1))
+            masks = rng.random((40, 1 << E)) < density
+        for mask, up, down in zip(masks, masks @ subset, masks @ subset.T):
+            assert np.array_equal(_closure(mask, E), up)
+            assert np.array_equal(_closure(mask[::-1], E)[::-1], down)
+
+
+@pytest.mark.parametrize("lattice, radius", [
+    (LatticeSpec.hypercubic(1), 1), (LatticeSpec.hypercubic(1), 2),
+    (LatticeSpec.hypercubic(1), 3), (LatticeSpec.hypercubic(2), 1),
+    (LatticeSpec.regular_tree(3), 1),
+], ids=["z1-1", "z1-2", "z1-3", "z2-1", "tree3-1"])
+def test_strassen_pair_arcs_carry_at_most_mu(lattice, radius):
+    # the flow's bottleneck skips the pair arcs (capacity 2): each carries at
+    # most mu(x) <= 1, since the source arc is the only arc into x
+    ball = build_ball(lattice, radius)
+    E = ball.n_edges
+    for p in (0.2, 0.35, 0.5, 0.65, 0.8, 1.0):
+        for h in (0.1, 0.5, 1.0):
+            eps = max_conditional_pivotal(ball, CLUSTER_FIRST, p, h)
+            nu = conditional_measure(ball, p, h)
+            for q in (p * (1.0 - eps), p, min(1.0, 1.3 * p), 0.0):
+                mu = product_measure(ball, q)
+                net = _StrassenFlow(mu.weights, nu.weights, E)
+                net.max_flow()
+                assert net.pairs
+                for key, (forward, _) in net.pairs.items():
+                    assert 2.0 - forward <= mu.weights[key >> E] + 1e-12
 
 
 def test_trace_enumeration_cap():
