@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .lattices import REGULAR_TREE, LatticeSpec, key_to_coords
+from .lattices import REGULAR_TREE, LatticeSpec, incident_edges, key_to_coords
 from .streams import derive_key, derive_keys, keyed_uniforms
 
 # Stream label of lazy growth: (seed, label, ...) paths keep experiments
@@ -150,13 +150,10 @@ def _lattice_layers(spec, p, cap, rkeys, members=None):
     For one replicate, ``members`` (a list holding the origin) gains each
     layer's coordinates, smallest key first, up to ``cap`` entries.
     """
-    offsets = spec._layout[1]
-    ndir = len(offsets)
-    moves = [(d, s * off) for d, off in enumerate(offsets) for s in (1, -1)]
-    steps = np.array([[step] for _, step in moves], dtype=np.int64)
-    # the edge from v to v + step is keyed (lower endpoint) * ndir + d
-    edge_steps = np.array([[min(step, 0) * ndir + d] for d, step in moves], dtype=np.int64)
-    span = (cap - 1) * sum(offsets)
+    ndir = len(spec._layout[1])
+    # vertex v's edges and neighbours are the origin's shifted by v * ndir and v
+    edge_steps, steps = np.array(incident_edges(spec, 0), dtype=np.int64).T[:, :, None]
+    span = (cap - 1) * sum(spec._layout[1])
     stride = 2 * span + 1
     n = len(rkeys)
     sizes = np.ones(n, dtype=np.int64)

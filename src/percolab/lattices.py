@@ -66,7 +66,7 @@ class LatticeSpec:
     @property
     def degree(self) -> int:
         """Common vertex degree of the lattice."""
-        return len(incident_edges(self)(vertex_key(self, self.origin)))
+        return self.tree_degree if self.family == REGULAR_TREE else 2 * len(self._layout[1])
 
     @functools.cached_property
     def origin(self) -> tuple:
@@ -78,8 +78,8 @@ class LatticeSpec:
 
         Coordinate i is signed base-_KEY_M digit ``places[i]`` of the vertex
         key; ``offsets`` are the key steps of the positive directions, in
-        reveal order.  Cached on the spec, as ``vertex_key`` and
-        ``key_to_coords`` read it per vertex.
+        reveal order.  Cached on the spec, as ``vertex_key``,
+        ``key_to_coords`` and ``incident_edges`` read it per vertex.
         """
         if self.family == HYPERCUBIC:
             places = tuple(range(self.dimension))
@@ -104,7 +104,7 @@ def lazy_neighbors(spec: LatticeSpec, v: tuple) -> list:
         ok = len(v) == len(spec.origin) and all(abs(c) <= _KEY_HALF - 2 for c in v)
     if not ok:
         raise ValueError(f"{tuple(v)} is no {spec.family} vertex in the key range")
-    return [key_to_coords(spec, w) for _, w in incident_edges(spec)(vertex_key(spec, v))]
+    return [key_to_coords(spec, w) for _, w in incident_edges(spec, vertex_key(spec, v))]
 
 
 class GraphBall:
@@ -158,14 +158,13 @@ def build_ball(spec: LatticeSpec, n: int) -> GraphBall:
         raise ValueError("radius must be nonnegative")
     if spec.family != REGULAR_TREE and n >= _KEY_HALF:
         raise CapExceeded("coordinate exceeds the key encoding range")
-    incident = incident_edges(spec)
     dist = {vertex_key(spec, spec.origin): 0}
     frontier = deque(dist)
     while frontier:
         v = frontier.popleft()
         if dist[v] == n:
             continue
-        for _, w in incident(v):
+        for _, w in incident_edges(spec, v):
             if w not in dist:
                 if len(dist) >= MAX_BALL_VERTICES:
                     raise CapExceeded(
@@ -176,7 +175,7 @@ def build_ball(spec: LatticeSpec, n: int) -> GraphBall:
     index = {k: i for i, (_, _, k) in enumerate(order)}
     edges = []
     for k, i in index.items():
-        for _, w in incident(k):
+        for _, w in incident_edges(spec, k):
             j = index.get(w)
             if j is not None and i < j:
                 edges.append((i, j))
@@ -206,39 +205,28 @@ def ball_to_json(ball: GraphBall) -> dict:
 # edge keys are (canonical endpoint key) * (#positive directions) + direction.
 # ---------------------------------------------------------------------------
 
-def incident_edges(spec: LatticeSpec):
-    """Function mapping a vertex key to its [(edge key, neighbor key), ...].
+def incident_edges(spec: LatticeSpec, v: int) -> list:
+    """[(edge key, neighbor key), ...] of the vertex keyed ``v``.
 
     The list order is the reveal order of lazy growth: on hypercubic and
     triangular lattices, for each positive direction the forward edge and
     then the backward one; on trees the parent edge, then the children.
     """
     if spec.family == REGULAR_TREE:
+        # the root (key 1) has r children, any other vertex r - 1
         r = spec.tree_degree
-        base = r + 1
-
-        def incident(v):
-            first = v * base + 1
-            if v == 1:
-                return [(c, c) for c in range(first, first + r)]
-            out = [(v, v // base)]
-            for c in range(first, first + r - 1):
-                out.append((c, c))
-            return out
-
-        return incident
+        out = [] if v == 1 else [(v, v // (r + 1))]
+        first = v * (r + 1) + 1
+        for c in range(first, first + r - len(out)):
+            out.append((c, c))
+        return out
     offsets = spec._layout[1]
     ndir = len(offsets)
-    directions = tuple(enumerate(offsets))
-
-    def incident(v):
-        out = []
-        for d, off in directions:
-            out.append((v * ndir + d, v + off))
-            out.append(((v - off) * ndir + d, v - off))
-        return out
-
-    return incident
+    out = []
+    for d, off in enumerate(offsets):
+        out.append((v * ndir + d, v + off))
+        out.append(((v - off) * ndir + d, v - off))
+    return out
 
 
 def vertex_key(spec: LatticeSpec, v: tuple) -> int:

@@ -46,7 +46,7 @@ def edge_coords(ball: GraphBall, e: int) -> tuple:
 def edge_key(spec: LatticeSpec, va: tuple, vb: tuple) -> int:
     """Canonical integer key of the undirected lattice edge {va, vb}."""
     kb = vertex_key(spec, vb)
-    for ek, w in incident_edges(spec)(vertex_key(spec, va)):
+    for ek, w in incident_edges(spec, vertex_key(spec, va)):
         if w == kb:
             return ek
     raise ValueError(f"{va} and {vb} are not lattice neighbors")
@@ -210,14 +210,13 @@ def grow_depth_first(spec: LatticeSpec, p: float, cap: int, rkey: int):
     An edge into the cluster is never drawn: its uniform is a pure function
     of the edge, so skipping it changes nothing but the work.
     """
-    incident = incident_edges(spec)
     origin = vertex_key(spec, spec.origin)
     members = {origin}
     if cap <= 1:
         return members, True
     queue = [origin]
     while queue:
-        for ek, w in incident(queue.pop()):
+        for ek, w in incident_edges(spec, queue.pop()):
             if w not in members and keyed_uniform(rkey, ek) < p:
                 members.add(w)
                 if len(members) >= cap:
@@ -231,13 +230,12 @@ def bfs_layers(spec: LatticeSpec, p: float, rkey: int, count: int) -> list:
     origin alone in the first, until they hold ``count`` vertices or the
     cluster is maximal.  A lattice layer is sorted by key; a tree layer goes
     by parent, then child digit, the order ``incident_edges`` reveals it."""
-    incident = incident_edges(spec)
     layers = [[vertex_key(spec, spec.origin)]]
     seen = set(layers[0])
     while layers[-1] and len(seen) < count:
         layer = []
         for v in layers[-1]:
-            for ek, w in incident(v):
+            for ek, w in incident_edges(spec, v):
                 if w not in seen and keyed_uniform(rkey, ek) < p:
                     seen.add(w)
                     layer.append(w)

@@ -14,11 +14,16 @@ from percolab.core import (
     lazy_cluster,
     replicate_key,
 )
+from percolab.coupling import EXP_COUPLE
 from percolab.errors import CapExceeded
+from percolab.estimators import EXP_CROSS, EXP_MAG, EXP_PSI
 from percolab.exact import exact_magnetization
 from percolab.lattices import LatticeSpec, build_ball, incident_edges, key_to_coords, vertex_key
 from percolab.streams import derive_key, derive_keys, keyed_uniform, stream
 from reference import (
+    EXP_BALL,
+    EXP_CONFIG,
+    EXP_GHOST,
     bfs_layers,
     cluster_of_origin,
     edge_coords,
@@ -204,6 +209,14 @@ def test_vectorized_replicate_keys(seed):
     assert [int(k) for k in got] == [replicate_key(seed, 11, rep) for rep in reps]
 
 
+def test_stream_labels_are_distinct():
+    # streams keeps experiments independent only along distinct (seed,
+    # label, ...) paths, and the labels are defined in four modules
+    labels = [EXP_GROW, EXP_COUPLE, EXP_PSI, EXP_MAG, EXP_CROSS,
+              EXP_CONFIG, EXP_GHOST, EXP_BALL]
+    assert len(set(labels)) == len(labels)
+
+
 def test_batch_coverage():
     # packed (replicate, vertex key) pairs must fit in 63 bits: z3 stops
     # fitting past cap 262,144, d >= 4 never fits, and the 2-D lattices and
@@ -237,7 +250,7 @@ def _open_component(spec, p, rkey, members):
     origin = vertex_key(spec, spec.origin)
     seen, queue = {origin}, [origin]
     while queue:
-        for ek, w in incident_edges(spec)(queue.pop()):
+        for ek, w in incident_edges(spec, queue.pop()):
             if w in keys and w not in seen and keyed_uniform(rkey, ek) < p:
                 seen.add(w)
                 queue.append(w)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,7 +64,9 @@ def test_vertex_lists_are_nested_prefixes(z2):
     (LatticeSpec.hypercubic(1), 4),
     (LatticeSpec.hypercubic(2), 3),
     (LatticeSpec.hypercubic(3), 2),
+    (LatticeSpec.hypercubic(4), 1),
     (LatticeSpec.triangular(), 3),
+    (LatticeSpec.regular_tree(2), 4),
     (LatticeSpec.regular_tree(3), 3),
     (LatticeSpec.regular_tree(4), 2),
 ])
@@ -237,5 +241,21 @@ PINNED_KEYS = [
     for s, v, _, _ in PINNED_KEYS])
 def test_vertex_and_edge_keys_are_pinned(spec, coords, key, incident):
     assert vertex_key(spec, coords) == key
-    assert incident_edges(spec)(key) == incident
+    assert incident_edges(spec, key) == incident
     assert key_to_coords(spec, key) == coords
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec.hypercubic(1), LatticeSpec.hypercubic(2),
+    LatticeSpec.hypercubic(3), LatticeSpec.triangular()])
+def test_incident_edges_are_translates_of_the_origins(spec):
+    # the growth kernel keys every vertex's edges and neighbours by shifting
+    # the origin's, which holds because the key encodings are linear
+    ndir = len(spec._layout[1])
+    at_origin = incident_edges(spec, 0)
+    rng = random.Random(23)
+    bound = lattices._KEY_HALF - 2
+    for _ in range(300):
+        coords = tuple(rng.randint(-bound, bound) for _ in spec.origin)
+        v = vertex_key(spec, coords)
+        assert incident_edges(spec, v) == [(e + v * ndir, w + v) for e, w in at_origin]
