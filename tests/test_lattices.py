@@ -64,11 +64,11 @@ def test_vertex_lists_are_nested_prefixes(z2):
     (LatticeSpec.hypercubic(1), 4),
     (LatticeSpec.hypercubic(2), 3),
     (LatticeSpec.hypercubic(3), 2),
-    (LatticeSpec.hypercubic(4), 1),
     (LatticeSpec.triangular(), 3),
-    (LatticeSpec.regular_tree(2), 4),
     (LatticeSpec.regular_tree(3), 3),
     (LatticeSpec.regular_tree(4), 2),
+    (LatticeSpec.hypercubic(4), 1),
+    (LatticeSpec.regular_tree(2), 4),
 ])
 def test_interior_transitivity(spec, n):
     # every vertex strictly inside the ball keeps the full lattice degree
