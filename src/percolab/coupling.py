@@ -75,7 +75,7 @@ def couple_sequential(ball: GraphBall, rule, q: float, oracle,
     for k in range(E):
         # the tree is a preorder with the closed branch first: from a node at
         # depth k, the closed child is next and the open child 2^(E-k-1) on
-        trace, e, _mask = tree[node]
+        trace, e, _configs = tree[node]
         pr = float(oracle(trace))
         if not 0.0 <= pr <= 1.0:
             raise ValueError(f"oracle returned {pr!r} outside [0, 1] at step {k}")
@@ -101,7 +101,7 @@ def domination_margin(ball: GraphBall, rule, oracle,
     every realization: the coupling hypothesis holds iff margin >= q.
     """
     margin = 1.0
-    for trace, _e, _mask in reachable_traces(ball, rule, target.weights):
+    for trace, _e, _configs in reachable_traces(ball, rule, target.weights):
         margin = min(margin, float(oracle(trace)))
     return margin
 
@@ -115,7 +115,7 @@ def exhaustive_order_check(ball: GraphBall, rule, q: float, oracle,
     An empty result proves no seed can ever produce an order violation.
     """
     bad = []
-    for trace, e, _mask in reachable_traces(ball, rule, target.weights):
+    for trace, e, _configs in reachable_traces(ball, rule, target.weights):
         pr = float(oracle(trace))
         if pr < q - 1e-12:
             bad.append({"order": trace.order, "values": trace.values,

@@ -44,6 +44,8 @@ class ExplicitMeasure:
         w = self.weights
         if len(w) != 1 << self.n_edges:
             raise ValueError("weight vector length must be 2^n_edges")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < -1e-15):
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
@@ -218,33 +220,32 @@ def psi_table(ball: GraphBall, p: float) -> list:
 
 @functools.lru_cache(maxsize=8)
 def _exploration_tree(ball: GraphBall, rule) -> tuple:
-    """Every trace prefix of length 0 .. |E|-1 as (trace, next edge, cylinder
-    mask), depth first with the closed branch before the open one.
-
-    The tree depends only on the ball and the rule, so it is built once and
-    shared by every weight vector; its masks are read-only.
-    """
+    """Every trace prefix of length 0 .. |E|-1 as (trace, next edge, the
+    ascending configurations that extend it), depth first, closed branch
+    first.  A child's array is its parent's split on the edge's bit, which
+    keeps it ascending, so sums over it run in configuration order.  Built
+    once per (ball, rule) for every weight vector; read-only."""
     _check_measure_cap(ball.n_edges, TRACE_CAP, "trace-indexed quantities")
-    bits = _edge_bits(ball.n_edges)
     nodes = []
 
-    def rec(trace, mask):
+    def rec(trace, configs):
         e = rule.next_edge(ball, trace)
         if e is None:
             return
-        mask.flags.writeable = False
-        nodes.append((trace, e, mask))
-        rec(trace.extend(e, 0), mask & ~bits[e])
-        rec(trace.extend(e, 1), mask & bits[e])
+        configs.flags.writeable = False
+        nodes.append((trace, e, configs))
+        is_open = (configs >> e) & 1 == 1
+        rec(trace.extend(e, 0), configs[~is_open])
+        rec(trace.extend(e, 1), configs[is_open])
 
-    rec(ExplorationTrace(), np.ones(1 << ball.n_edges, dtype=bool))
+    rec(ExplorationTrace(), np.arange(1 << ball.n_edges))
     return tuple(nodes)
 
 
 def reachable_traces(ball: GraphBall, rule, weights: np.ndarray) -> list:
-    """(trace, next_edge, cylinder_mask) for every positive-probability trace
+    """(trace, next_edge, configurations) for every positive-probability
     prefix of length 0 .. |E|-1 under the nonnegative weight vector, in the
-    exploration tree's order."""
+    exploration tree's order; see ``_exploration_tree``."""
     return [node for node in _exploration_tree(ball, rule)
             if float(weights[node[2]].sum()) > 0.0]
 
@@ -257,10 +258,9 @@ def make_conditional_oracle(ball: GraphBall, rule, p: float, h: float):
     other trace raises ValueError.
     """
     weights = conditional_measure(ball, p, h).weights
-    bits = _edge_bits(ball.n_edges)
     probs = {(trace.order, trace.values):
-             float(weights[mask & bits[e]].sum()) / float(weights[mask].sum())
-             for trace, e, mask in reachable_traces(ball, rule, weights)}
+             float(weights[c[(c >> e) & 1 == 1]].sum()) / float(weights[c].sum())
+             for trace, e, c in reachable_traces(ball, rule, weights)}
 
     def oracle(trace):
         got = probs.get((trace.order, trace.values))
@@ -293,9 +293,9 @@ def max_conditional_pivotal(ball: GraphBall, rule, p: float, h: float) -> float:
              for bit, flip in zip(_edge_bits(E), _flips(E))]
 
     best = 0.0
-    for trace, e, mask in prefixes:
-        num = float(piv_w[e][mask].sum())
-        best = max(best, num / float(avoid_w[mask].sum()))
+    for trace, e, configs in prefixes:
+        num = float(piv_w[e][configs].sum())
+        best = max(best, num / float(avoid_w[configs].sum()))
     return best
 
 
@@ -312,14 +312,13 @@ def fkg_sweep(ball: GraphBall, rule, p: float, h: float) -> list:
     prod, avoid = _avoidance_weights(ball, p, h)
     labels, members, _ = _ball_tables(ball)
     rows = []
-    for trace, e, mask in reachable_traces(ball, rule, avoid):
+    for trace, e, configs in reachable_traces(ball, rule, avoid):
         i, j = ball.edges[e]
         cluster = _revealed_cluster(ball, trace)
         if (i in cluster) == (j in cluster):
             continue
         w = j if i in cluster else i
         excluded = sum(1 << k for k in trace.order) | (1 << e)
-        configs = np.nonzero(mask)[0]
         # Closing the excluded edges leaves w's cluster as the reachable set.
         sub = labels[configs & ~excluded]
         reach = sub == sub[:, [w]]

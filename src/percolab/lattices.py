@@ -50,6 +50,10 @@ class LatticeSpec:
             raise ValueError("hypercubic lattice needs dimension >= 1")
         if self.family == REGULAR_TREE and self.tree_degree < 2:
             raise ValueError("regular tree needs degree >= 2")
+        if self.family != HYPERCUBIC and self.dimension:
+            raise ValueError(f"{self.family} lattice takes no dimension")
+        if self.family != REGULAR_TREE and self.tree_degree:
+            raise ValueError(f"{self.family} lattice takes no tree degree")
 
     @classmethod
     def hypercubic(cls, d: int) -> "LatticeSpec":

@@ -62,6 +62,10 @@ def test_explicit_measure_validation():
         ExplicitMeasure(np.array([1.5, -0.5]), 1)
     with pytest.raises(ValueError):
         ExplicitMeasure(np.array([1.0]), 1)  # wrong length
+    with pytest.raises(ValueError):
+        ExplicitMeasure(np.array([np.nan, 1.0]), 1)  # passes the other checks
+    with pytest.raises(ValueError):
+        ExplicitMeasure(np.array([np.inf, 1.0]), 1)
 
 
 def test_conditional_measure_h_zero_is_product(z1_ball2):
@@ -211,8 +215,8 @@ def test_oracle_matches_pointwise(z1_ball2, z2_ball1, tree3_ball1):
                 num[key] = num.get(key, 0.0) + weights[c] * trace.values[k]
         oracle = make_conditional_oracle(ball, CLUSTER_FIRST, p, h)
         prefixes = reachable_traces(ball, CLUSTER_FIRST, weights)
-        assert {(t.order, t.values) for t, _e, _mask in prefixes} == set(den)
-        for trace, _e, _mask in prefixes:
+        assert {(t.order, t.values) for t, _e, _configs in prefixes} == set(den)
+        for trace, _e, _configs in prefixes:
             key = (trace.order, trace.values)
             assert abs(oracle(trace) - num[key] / den[key]) < 1e-12
 
@@ -223,8 +227,8 @@ def test_reachable_traces_prune_to_one_path(z1_ball2, p):
     # the all-open one: one prefix of each length 0 .. |E|-1
     prefixes = reachable_traces(z1_ball2, CLUSTER_FIRST,
                                 product_measure(z1_ball2, p).weights)
-    assert [t.k for t, _e, _mask in prefixes] == list(range(z1_ball2.n_edges))
-    assert all(t.values == (int(p),) * t.k for t, _e, _mask in prefixes)
+    assert [t.k for t, _e, _configs in prefixes] == list(range(z1_ball2.n_edges))
+    assert all(t.values == (int(p),) * t.k for t, _e, _configs in prefixes)
 
 
 def test_max_conditional_pivotal_h_zero(z1_ball2):
@@ -310,7 +314,7 @@ def test_fkg_step_requires_structure(z1_ball2):
     # in the revealed cluster: the prefix is reachable but gets no row
     trace = ExplorationTrace((0, 1), (0, 0))
     weights = product_measure(z1_ball2, 0.5).weights
-    assert any(t == trace for t, _e, _mask in
+    assert any(t == trace for t, _e, _configs in
                reachable_traces(z1_ball2, CLUSTER_FIRST, weights))
     assert _fkg_row(z1_ball2, 0.5, 0.5, trace) is None
 

@@ -51,6 +51,31 @@ def test_revealed_cluster_at_every_tree_node(request, ball_name):
         assert _revealed_cluster(ball, trace) == revealed_open_cluster(ball, trace)
 
 
+@pytest.mark.parametrize("lattice, radius", [
+    ("z1", 1), ("z1", 2), ("z1", 3), ("z2", 1), ("tree3", 1), ("tree3", 2)])
+def test_tree_configurations_on_acceptance_balls(request, lattice, radius):
+    # each node holds, ascending, the configurations whose full exploration
+    # starts with its trace; the nodes of one depth partition range(2^E)
+    ball = build_ball(request.getfixturevalue(lattice), radius)
+    E = ball.n_edges
+    extending = {}
+    for c in range(1 << E):
+        full = run_exploration(ball, CLUSTER_FIRST, [(c >> e) & 1 for e in range(E)])
+        for k in range(E):
+            extending.setdefault((full.order[:k], full.values[:k]), []).append(c)
+    nodes = _exploration_tree(ball, CLUSTER_FIRST)
+    assert len(nodes) == len(extending) == 2 ** E - 1
+    by_depth = [[] for _ in range(E)]
+    for trace, _, configs in nodes:
+        assert configs.ndim == 1 and configs.dtype.kind == "i"
+        assert not configs.flags.writeable
+        assert configs.tolist() == extending[(trace.order, trace.values)]
+        by_depth[trace.k].extend(configs.tolist())
+    for depth in by_depth:
+        assert sorted(depth) == list(range(1 << E))
+    assert sum(len(configs) for _, _, configs in nodes) == E * 2 ** E
+
+
 def test_revealed_cluster_along_tri_explorations():
     # 12 edges is past TRACE_CAP, so the prefixes come from full explorations
     ball = build_ball(LatticeSpec.triangular(), 1)

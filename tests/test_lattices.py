@@ -156,6 +156,15 @@ def test_spec_validation():
         LatticeSpec.regular_tree(1)
     with pytest.raises(ValueError):
         LatticeSpec("kagome")
+    # a field the family does not use must stay zero: one spec per lattice
+    with pytest.raises(ValueError):
+        LatticeSpec("hypercubic", 2, 5)
+    with pytest.raises(ValueError):
+        LatticeSpec("regular_tree", 3, 3)
+    with pytest.raises(ValueError):
+        LatticeSpec("triangular", 2)
+    with pytest.raises(ValueError):
+        LatticeSpec("triangular", tree_degree=3)
 
 
 def test_ball_json_export(z1_ball2):
